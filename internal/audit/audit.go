@@ -195,7 +195,7 @@ func Run(h *hv.Hypervisor, opts Options) *Report {
 
 	// Page-frame descriptors (unless the PF-scan enhancement already ran).
 	if !opts.SkipFrames {
-		if bad := h.Frames.InconsistentFrames(); len(bad) > 0 {
+		if h.Frames.InconsistentCount() > 0 {
 			fixed := h.Frames.ScanAndRepair()
 			r.add(ClassFrames, fmt.Sprintf("%d inconsistent descriptors rewritten", fixed), Repaired)
 		}

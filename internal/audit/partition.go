@@ -125,7 +125,7 @@ func runPartitioned(h *hv.Hypervisor, opts Options) *Report {
 	})
 	if !opts.SkipFrames {
 		addGlobal("audit.pf-descriptors", opts.FrameScanCost, func(sr *Report) {
-			if bad := h.Frames.InconsistentFrames(); len(bad) > 0 {
+			if h.Frames.InconsistentCount() > 0 {
 				fixed := h.Frames.ScanAndRepair()
 				sr.add(ClassFrames, fmt.Sprintf("%d inconsistent descriptors rewritten", fixed), Repaired)
 			}

@@ -823,8 +823,8 @@ func auditInvariants(h *hv.Hypervisor) []string {
 	if incs := h.Sched.CheckConsistency(); len(incs) != 0 {
 		out = append(out, fmt.Sprintf("%d scheduler inconsistencies (first: %s)", len(incs), incs[0].Desc))
 	}
-	if bad := h.Frames.InconsistentFrames(); len(bad) != 0 {
-		out = append(out, fmt.Sprintf("%d inconsistent page frame descriptors", len(bad)))
+	if n := h.Frames.InconsistentCount(); n != 0 {
+		out = append(out, fmt.Sprintf("%d inconsistent page frame descriptors", n))
 	}
 	if inact := h.Timers.InactiveRecurring(); len(inact) != 0 {
 		out = append(out, fmt.Sprintf("%d recurring timers inactive", len(inact)))

@@ -2,11 +2,13 @@ package campaign
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"nilihype/internal/core"
 	"nilihype/internal/guest"
 	"nilihype/internal/inject"
+	"nilihype/internal/mm"
 )
 
 // assertForkMatchesCold runs rc once cold-booted and once forked from a
@@ -68,6 +70,70 @@ func TestSnapshotForkMatchesColdBootHVM(t *testing.T) {
 	rc.Setup = OneAppVM
 	rc.HVM = true
 	assertForkMatchesCold(t, rc, []uint64{1, 2})
+}
+
+// frameArray reads every page frame descriptor through the read-only
+// accessor.
+func frameArray(ft *mm.FrameTable) []mm.PageFrame {
+	out := make([]mm.PageFrame, ft.Len())
+	for i := range out {
+		out[i] = ft.At(i)
+	}
+	return out
+}
+
+// TestForkedFramesMatchColdBoot8GB guards the dirty-tracked frame table on
+// the 8 GB latency machine (2M descriptors), where a forked run's restore
+// copies only what the previous run touched. For Failstop, and for Code
+// faults whose corruption lands in a page frame descriptor, every forked
+// Result equals the cold boot's, the descriptor array after the run equals
+// the cold-booted run's, and after the restore it equals a fresh boot's.
+func TestForkedFramesMatchColdBoot8GB(t *testing.T) {
+	for _, tc := range []struct {
+		fault inject.FaultType
+		seeds []uint64
+	}{
+		{inject.Failstop, []uint64{1, 2, 3}},
+		{inject.Code, []uint64{9, 10, 13}},
+	} {
+		rc := fastCfg(tc.fault, core.Microreset)
+		rc.MemoryMB = 8192
+		img, err := buildImage(rc)
+		if err != nil {
+			t.Fatalf("buildImage: %v", err)
+		}
+		boot := frameArray(img.h.Frames)
+		if img.h.Frames.Len() != 2097152 {
+			t.Fatalf("8 GB table has %d frames, want 2097152", img.h.Frames.Len())
+		}
+		descCorrupted := false
+		for _, seed := range tc.seeds {
+			rc.Seed = seed
+			coldImg, err := buildImage(rc)
+			if err != nil {
+				t.Fatalf("buildImage: %v", err)
+			}
+			cold := coldImg.run(rc)
+			forked := img.run(rc)
+			if !reflect.DeepEqual(cold, forked) {
+				t.Fatalf("%v seed %d: forked run differs from cold boot:\n cold:   %+v\n forked: %+v",
+					tc.fault, seed, cold, forked)
+			}
+			for _, e := range img.h.Jrn.Export() {
+				descCorrupted = descCorrupted || (e.Kind == "corruption" && e.Detail == "pf-descriptor")
+			}
+			if !slices.Equal(frameArray(img.h.Frames), frameArray(coldImg.h.Frames)) {
+				t.Fatalf("%v seed %d: descriptors after the forked run differ from the cold-booted run's", tc.fault, seed)
+			}
+			img.h.Restore(img.snap)
+			if !slices.Equal(frameArray(img.h.Frames), boot) {
+				t.Fatalf("%v seed %d: restored descriptors differ from a fresh boot's", tc.fault, seed)
+			}
+		}
+		if tc.fault == inject.Code && !descCorrupted {
+			t.Fatalf("no Code seed corrupted a page frame descriptor; the case no longer exercises CorruptRandomDescriptor")
+		}
+	}
 }
 
 // TestCampaignSummaryIdenticalSnapshotVsColdBoot is the tentpole's

@@ -444,7 +444,7 @@ func (en *Engine) complete(mech Mechanism) {
 	// hypercalls above may have healed their own frames; whatever remains
 	// is latent damage.
 	if failed, _ := h.Failed(); !failed {
-		if len(h.Frames.InconsistentFrames()) > 0 && h.RNG.Float64() < pfInconsistencyHangProb {
+		if h.Frames.InconsistentCount() > 0 && h.RNG.Float64() < pfInconsistencyHangProb {
 			en.attemptFailed("post-recovery hang: inconsistent page frame descriptors hit by mm path")
 			return
 		}

@@ -257,7 +257,7 @@ func (h *Hypervisor) RetryPendingCalls(pending []*PendingCall) {
 		if p.Poisoned {
 			pc.Env.Undo.Clear()
 		} else {
-			pc.Env.Undo.Rollback()
+			pc.Env.Undo.Rollback(pc.Env.Frames)
 		}
 		h.Stats.RetriedCalls++
 		call := p.Call

@@ -140,12 +140,12 @@ var mmuUnpinTmpl = []Step{
 	{Name: "complete", Instrs: 20, Do: doNop},
 }
 
-func mmuFrame(e *Env, c *Call) (*mm.PageFrame, error) {
+func mmuFrame(e *Env, c *Call) (int, *mm.PageFrame, error) {
 	frame := int(c.Args[1])
 	if frame < 0 || frame >= e.Frames.Len() {
-		return nil, assertf("mmu_update: bad frame %d", frame)
+		return 0, nil, assertf("mmu_update: bad frame %d", frame)
 	}
-	return e.Frames.Frame(frame), nil
+	return frame, e.Frames.Frame(frame), nil
 }
 
 func doLockPageAlloc(e *Env, st *Step) error {
@@ -166,18 +166,18 @@ func doUnlockPageAlloc(e *Env, st *Step) error {
 }
 
 func doMMUIncRef(e *Env, st *Step) error {
-	f, err := mmuFrame(e, st.C)
+	i, f, err := mmuFrame(e, st.C)
 	if err != nil {
 		return err
 	}
-	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "mmu_pin: undo inc_refcount", Kind: UndoFrameUseDelta, Frame: f, Arg: -1})
+	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "mmu_pin: undo inc_refcount", Kind: UndoFrameUseDelta, Frame: i, Arg: -1})
 	f.Type = mm.FramePageTable
 	f.IncUse()
 	return nil
 }
 
 func doMMUValidate(e *Env, st *Step) error {
-	f, err := mmuFrame(e, st.C)
+	_, f, err := mmuFrame(e, st.C)
 	if err != nil {
 		return err
 	}
@@ -192,24 +192,24 @@ func doMMUValidate(e *Env, st *Step) error {
 }
 
 func doMMUClearValidated(e *Env, st *Step) error {
-	f, err := mmuFrame(e, st.C)
+	i, f, err := mmuFrame(e, st.C)
 	if err != nil {
 		return err
 	}
 	if !f.Validated {
 		return assertf("mmu_unpin: frame %d not validated (retry of partial hypercall?)", int(st.C.Args[1]))
 	}
-	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "mmu_unpin: undo clear_validated", Kind: UndoFrameRevalidate, Frame: f})
+	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "mmu_unpin: undo clear_validated", Kind: UndoFrameRevalidate, Frame: i})
 	f.Validated = false
 	return nil
 }
 
 func doMMUDecRef(e *Env, st *Step) error {
-	f, err := mmuFrame(e, st.C)
+	i, f, err := mmuFrame(e, st.C)
 	if err != nil {
 		return err
 	}
-	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "mmu_unpin: undo dec_refcount", Kind: UndoFrameUseDelta, Frame: f, Arg: 1})
+	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "mmu_unpin: undo dec_refcount", Kind: UndoFrameUseDelta, Frame: i, Arg: 1})
 	if err := f.DecUse(); err != nil {
 		return assertf("mmu_unpin: %v", err)
 	}
@@ -333,7 +333,7 @@ func doGrantIncMap(e *Env, st *Step) error {
 		return assertf("grant_map: bad frame %d", frame)
 	}
 	f := e.Frames.Frame(frame)
-	e.logWriteRecord(LogCostGrant, UndoRecord{Desc: "grant_map: undo inc_mapcount", Kind: UndoFrameUseDelta, Frame: f, Arg: -1})
+	e.logWriteRecord(LogCostGrant, UndoRecord{Desc: "grant_map: undo inc_mapcount", Kind: UndoFrameUseDelta, Frame: frame, Arg: -1})
 	f.IncUse()
 	return nil
 }
@@ -362,7 +362,7 @@ func doGrantDecMap(e *Env, st *Step) error {
 		return assertf("grant_unmap: bad frame %d", frame)
 	}
 	f := e.Frames.Frame(frame)
-	e.logWriteRecord(LogCostGrant, UndoRecord{Desc: "grant_unmap: undo dec_mapcount", Kind: UndoFrameUseDelta, Frame: f, Arg: 1})
+	e.logWriteRecord(LogCostGrant, UndoRecord{Desc: "grant_unmap: undo dec_mapcount", Kind: UndoFrameUseDelta, Frame: frame, Arg: 1})
 	if err := f.DecUse(); err != nil {
 		return assertf("grant_unmap: %v", err)
 	}
@@ -781,27 +781,27 @@ var eptUnmapTmpl = []Step{
 	{Name: "vmenter", Instrs: 120, Do: doNop},
 }
 
-func eptFrame(e *Env, c *Call) (*mm.PageFrame, error) {
+func eptFrame(e *Env, c *Call) (int, *mm.PageFrame, error) {
 	frame := int(c.Args[1])
 	if frame < 0 || frame >= e.Frames.Len() {
-		return nil, assertf("ept_violation: bad frame %d", frame)
+		return 0, nil, assertf("ept_violation: bad frame %d", frame)
 	}
-	return e.Frames.Frame(frame), nil
+	return frame, e.Frames.Frame(frame), nil
 }
 
 func doEPTIncMap(e *Env, st *Step) error {
-	f, err := eptFrame(e, st.C)
+	i, f, err := eptFrame(e, st.C)
 	if err != nil {
 		return err
 	}
-	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "ept_populate: undo inc_mapcount", Kind: UndoFrameUseDelta, Frame: f, Arg: -1})
+	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "ept_populate: undo inc_mapcount", Kind: UndoFrameUseDelta, Frame: i, Arg: -1})
 	f.Type = mm.FramePageTable
 	f.IncUse()
 	return nil
 }
 
 func doEPTSetPresent(e *Env, st *Step) error {
-	f, err := eptFrame(e, st.C)
+	_, f, err := eptFrame(e, st.C)
 	if err != nil {
 		return err
 	}
@@ -813,24 +813,24 @@ func doEPTSetPresent(e *Env, st *Step) error {
 }
 
 func doEPTClearPresent(e *Env, st *Step) error {
-	f, err := eptFrame(e, st.C)
+	i, f, err := eptFrame(e, st.C)
 	if err != nil {
 		return err
 	}
 	if !f.Validated {
 		return assertf("ept_unmap: frame %d not present (retry of partial exit?)", int(st.C.Args[1]))
 	}
-	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "ept_unmap: undo clear_present", Kind: UndoFrameRevalidate, Frame: f})
+	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "ept_unmap: undo clear_present", Kind: UndoFrameRevalidate, Frame: i})
 	f.Validated = false
 	return nil
 }
 
 func doEPTDecMap(e *Env, st *Step) error {
-	f, err := eptFrame(e, st.C)
+	i, f, err := eptFrame(e, st.C)
 	if err != nil {
 		return err
 	}
-	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "ept_unmap: undo dec_mapcount", Kind: UndoFrameUseDelta, Frame: f, Arg: 1})
+	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "ept_unmap: undo dec_mapcount", Kind: UndoFrameUseDelta, Frame: i, Arg: 1})
 	if err := f.DecUse(); err != nil {
 		return assertf("ept_unmap: %v", err)
 	}

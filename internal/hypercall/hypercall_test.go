@@ -243,7 +243,7 @@ func TestNonIdempotentRetryWithUndoSucceeds(t *testing.T) {
 		t.Fatal("no undo records logged")
 	}
 	fx.locks.UnlockHeapLocks()
-	fx.env.Undo.Rollback()
+	fx.env.Undo.Rollback(fx.env.Frames)
 	if got := fx.frames.Frame(frame).UseCount; got != 0 {
 		t.Fatalf("UseCount after rollback = %d, want 0", got)
 	}
@@ -569,7 +569,7 @@ func TestDomctlCreateRetryAfterUndoSucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.locks.UnlockStaticSegment()
-	fx.env.Undo.Rollback()
+	fx.env.Undo.Rollback(fx.env.Frames)
 	if _, err := fx.doms.ByID(9); err == nil {
 		t.Fatal("rollback did not remove inserted domain")
 	}
@@ -670,7 +670,7 @@ func TestUndoLogRollbackOrder(t *testing.T) {
 	u.Record("a", func() { got = append(got, 1) })
 	u.Record("b", func() { got = append(got, 2) })
 	u.Record("c", func() { got = append(got, 3) })
-	if n := u.Rollback(); n != 3 {
+	if n := u.Rollback(nil); n != 3 {
 		t.Fatalf("Rollback = %d, want 3", n)
 	}
 	if len(got) != 3 || got[0] != 3 || got[2] != 1 {
@@ -679,7 +679,7 @@ func TestUndoLogRollbackOrder(t *testing.T) {
 	if u.Len() != 0 || u.Rollbacks != 1 {
 		t.Fatalf("len=%d rollbacks=%d", u.Len(), u.Rollbacks)
 	}
-	if n := u.Rollback(); n != 0 {
+	if n := u.Rollback(nil); n != 0 {
 		t.Fatal("empty rollback applied records")
 	}
 }
@@ -741,7 +741,7 @@ func TestEPTPopulateRetryWithUndoSucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.locks.UnlockHeapLocks()
-	fx.env.Undo.Rollback()
+	fx.env.Undo.Rollback(fx.env.Frames)
 	fx.runAll(t, pop)
 	if got := fx.frames.Frame(205).UseCount; got != 1 {
 		t.Fatalf("UseCount after retried populate = %d, want 1", got)

@@ -121,7 +121,7 @@ func TestPropertyRetryAfterAnyPrefix(t *testing.T) {
 				// Recovery: release leaked locks, roll back, retry.
 				fx.locks.UnlockHeapLocks()
 				fx.locks.UnlockStaticSegment()
-				fx.env.Undo.Rollback()
+				fx.env.Undo.Rollback(fx.env.Frames)
 				if err := fx.run(call, -1); err != nil {
 					t.Fatalf("retry after prefix %d failed: %v", k, err)
 				}

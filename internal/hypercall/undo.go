@@ -19,12 +19,12 @@ type UndoKind uint8
 const (
 	// UndoFunc runs the record's Undo closure (legacy/rare path).
 	UndoFunc UndoKind = iota
-	// UndoFrameUseDelta adds Arg to Frame.UseCount (raw counter reversal,
-	// deliberately bypassing the IncUse/DecUse assertions: rollback must
-	// restore state even when the forward path's invariants no longer
-	// hold).
+	// UndoFrameUseDelta adds Arg to descriptor Frame's UseCount (raw
+	// counter reversal, deliberately bypassing the IncUse/DecUse
+	// assertions: rollback must restore state even when the forward path's
+	// invariants no longer hold).
 	UndoFrameUseDelta
-	// UndoFrameRevalidate sets Frame.Validated back to true.
+	// UndoFrameRevalidate sets descriptor Frame's Validated bit back to true.
 	UndoFrameRevalidate
 	// UndoTotPagesDelta adds Arg to Dom.TotPages.
 	UndoTotPagesDelta
@@ -37,7 +37,9 @@ const (
 )
 
 // UndoRecord is one logged critical-variable write. Kind selects how the
-// write is reversed; the pointer/Arg fields carry the target state.
+// write is reversed; the Frame/Dom/Arg fields carry the target state.
+// Frame is a descriptor index, not a pointer, so a rollback goes through
+// the FrameTable API like any other write and is tracked as dirty.
 type UndoRecord struct {
 	Desc string
 	Kind UndoKind
@@ -45,20 +47,20 @@ type UndoRecord struct {
 	// Undo is the UndoFunc reversal callback (nil for data-driven kinds).
 	Undo func()
 
-	Frame *mm.PageFrame
+	Frame int
 	Dom   *dom.Domain
 	Arg   int
 }
 
-// apply performs the reversal.
-func (r *UndoRecord) apply() {
+// apply performs the reversal against the frame table the call ran on.
+func (r *UndoRecord) apply(frames *mm.FrameTable) {
 	switch r.Kind {
 	case UndoFunc:
 		r.Undo()
 	case UndoFrameUseDelta:
-		r.Frame.UseCount += r.Arg
+		frames.Frame(r.Frame).UseCount += r.Arg
 	case UndoFrameRevalidate:
-		r.Frame.Validated = true
+		frames.Frame(r.Frame).Validated = true
 	case UndoTotPagesDelta:
 		r.Dom.TotPages += r.Arg
 	case UndoMaptrackUnmap:
@@ -113,12 +115,12 @@ func (u *UndoLog) Clear() {
 	u.records = u.records[:0]
 }
 
-// Rollback applies all records in reverse order and clears the log.
-// Returns the number of records applied.
-func (u *UndoLog) Rollback() int {
+// Rollback applies all records in reverse order, writing frame reversals
+// to frames, and clears the log. Returns the number of records applied.
+func (u *UndoLog) Rollback(frames *mm.FrameTable) int {
 	n := len(u.records)
 	for i := n - 1; i >= 0; i-- {
-		u.records[i].apply()
+		u.records[i].apply(frames)
 	}
 	u.Clear()
 	if n > 0 {

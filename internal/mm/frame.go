@@ -13,11 +13,21 @@
 //
 //   - The heap's allocated-page set is what ReHype must record and
 //     re-integrate across reboot (Table II "Memory initialization").
+//
+// The simulated scan walks every descriptor, and callers charge its
+// simulated time per Len(). The simulator's own host-side work is kept
+// apart from that modelled cost: once a FrameTable has been snapshotted
+// it tracks which descriptors changed since, so Restore copies, and the
+// scans visit, only those descriptors plus the snapshot's own
+// inconsistent set. All mutation therefore goes through the FrameTable
+// API (Frame, AssignRange, CorruptRandomDescriptor, ScanAndRepair,
+// Restore); read-only callers use At so reads do not grow the dirty set.
 package mm
 
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 )
 
 // FrameType classifies a physical page frame.
@@ -73,8 +83,18 @@ func (f *PageFrame) consistent() bool {
 
 // FrameTable is the array of page frame descriptors covering physical
 // memory.
+//
+// After the first Snapshot the table is tracked against base, the
+// snapshot it was last captured into or restored from: a descriptor whose
+// bit in dirty is clear equals base's copy bit for bit, and every set bit
+// is listed once in dirtyList. Before the first Snapshot (cold boot) base
+// is nil and every scan walks the whole array.
 type FrameTable struct {
 	frames []PageFrame
+
+	base      *FrameTableSnapshot
+	dirty     []uint64
+	dirtyList []int
 }
 
 // NewFrameTable builds a table of n free frames.
@@ -89,8 +109,28 @@ func NewFrameTable(n int) *FrameTable {
 // Len returns the number of page frames.
 func (ft *FrameTable) Len() int { return len(ft.frames) }
 
-// Frame returns descriptor i for inspection or mutation.
-func (ft *FrameTable) Frame(i int) *PageFrame { return &ft.frames[i] }
+// Frame returns descriptor i for mutation and marks it dirty. The pointer
+// must not be kept past the step that took it: a later Snapshot or
+// Restore would not see writes made through it.
+func (ft *FrameTable) Frame(i int) *PageFrame {
+	ft.markDirty(i)
+	return &ft.frames[i]
+}
+
+// At returns a copy of descriptor i for inspection.
+func (ft *FrameTable) At(i int) PageFrame { return ft.frames[i] }
+
+// markDirty records that descriptor i may differ from base.
+func (ft *FrameTable) markDirty(i int) {
+	if ft.base != nil && !ft.isDirty(i) {
+		ft.dirty[i>>6] |= uint64(1) << (uint(i) & 63)
+		ft.dirtyList = append(ft.dirtyList, i)
+	}
+}
+
+func (ft *FrameTable) isDirty(i int) bool {
+	return ft.dirty[i>>6]&(uint64(1)<<(uint(i)&63)) != 0
+}
 
 // CountType returns how many frames have the given type.
 func (ft *FrameTable) CountType(t FrameType) int {
@@ -103,39 +143,65 @@ func (ft *FrameTable) CountType(t FrameType) int {
 	return n
 }
 
-// InconsistentFrames returns the indices of descriptors violating the
-// validation-bit/use-counter invariant.
-func (ft *FrameTable) InconsistentFrames() []int {
-	var out []int
-	for i := range ft.frames {
-		if !ft.frames[i].consistent() {
-			out = append(out, i)
+// eachInconsistent calls fn with the index of every descriptor violating
+// the validation-bit/use-counter invariant. An untracked table walks every
+// descriptor; a tracked one visits the base's inconsistent set minus what
+// changed since, then the changed descriptors.
+func (ft *FrameTable) eachInconsistent(fn func(i int)) {
+	if ft.base == nil {
+		for i := range ft.frames {
+			if !ft.frames[i].consistent() {
+				fn(i)
+			}
+		}
+		return
+	}
+	for _, i := range ft.base.bad {
+		if !ft.isDirty(i) {
+			fn(i)
 		}
 	}
+	for _, i := range ft.dirtyList {
+		if !ft.frames[i].consistent() {
+			fn(i)
+		}
+	}
+}
+
+// InconsistentCount returns how many descriptors violate the
+// validation-bit/use-counter invariant, without allocating.
+func (ft *FrameTable) InconsistentCount() int {
+	n := 0
+	ft.eachInconsistent(func(int) { n++ })
+	return n
+}
+
+// InconsistentFrames returns the indices of descriptors violating the
+// validation-bit/use-counter invariant, in ascending order.
+func (ft *FrameTable) InconsistentFrames() []int {
+	var out []int
+	ft.eachInconsistent(func(i int) { out = append(out, i) })
+	slices.Sort(out)
 	return out
 }
 
-// ScanAndRepair is the recovery-time consistency scan: it visits every
-// descriptor and repairs validation-bit/use-counter mismatches, returning
-// the number repaired. The caller charges simulated time proportional to
-// Len() (Table III: 21 ms for the 2M descriptors of an 8 GB host).
+// ScanAndRepair is the recovery-time consistency scan: it repairs every
+// validation-bit/use-counter mismatch and returns the number repaired.
+// The caller charges simulated time proportional to Len() (Table III:
+// 21 ms for the 2M descriptors of an 8 GB host); on a tracked table the
+// host only visits the dirty descriptors and the base's inconsistent set.
 func (ft *FrameTable) ScanAndRepair() int {
 	repaired := 0
-	for i := range ft.frames {
-		f := &ft.frames[i]
-		if f.consistent() {
-			continue
-		}
+	// A repaired base descriptor joins the dirty list after the base loop
+	// has visited it; the dirty-list loop then finds it consistent.
+	ft.eachInconsistent(func(i int) {
 		// Repair direction mirrors Xen: trust the use counter when it
 		// is positive (a reference exists, so finish the validation);
 		// otherwise drop the stale validation.
-		if f.UseCount > 0 {
-			f.Validated = true
-		} else {
-			f.Validated = false
-		}
+		f := ft.Frame(i)
+		f.Validated = f.UseCount > 0
 		repaired++
-	}
+	})
 	return repaired
 }
 
@@ -144,7 +210,7 @@ func (ft *FrameTable) ScanAndRepair() int {
 // index.
 func (ft *FrameTable) CorruptRandomDescriptor(rng *rand.Rand) int {
 	i := rng.IntN(len(ft.frames))
-	f := &ft.frames[i]
+	f := ft.Frame(i)
 	f.Type = FramePageTable
 	if rng.IntN(2) == 0 {
 		f.UseCount = 1 + rng.IntN(3)

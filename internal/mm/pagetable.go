@@ -33,7 +33,7 @@ func (ft *FrameTable) AssignRange(start, count, dom int, t FrameType) error {
 			start, start+count, len(ft.frames))
 	}
 	for i := start; i < start+count; i++ {
-		ft.frames[i] = PageFrame{Type: t, Owner: dom}
+		*ft.Frame(i) = PageFrame{Type: t, Owner: dom}
 	}
 	return nil
 }

@@ -1,25 +1,77 @@
 package mm
 
-import "nilihype/internal/locking"
+import (
+	"fmt"
 
-// FrameTableSnapshot is a full copy of the page frame descriptor array.
-// At 1 GB (262144 descriptors) the copy is a few MB of memmove per
-// restore — far cheaper than re-running boot, and allocation-free after
-// the first capture.
+	"nilihype/internal/locking"
+)
+
+// FrameTableSnapshot is a full copy of the page frame descriptor array
+// plus the ascending indices of the descriptors that were inconsistent
+// when it was taken. A snapshot is immutable once captured.
 type FrameTableSnapshot struct {
 	frames []PageFrame
+	bad    []int
 }
 
-// Snapshot captures every descriptor.
+// snapshotChunk is how many descriptors Snapshot copies before checking
+// them: the check then reads the copy while it is still in cache, so the
+// inconsistent set costs no second pass over memory.
+const snapshotChunk = 1024
+
+// Snapshot captures every descriptor and makes the snapshot the table's
+// dirty-tracking base: until the next Snapshot or a Restore to another
+// snapshot, Restore(s) copies back only what changed since.
 func (ft *FrameTable) Snapshot() *FrameTableSnapshot {
 	s := &FrameTableSnapshot{frames: make([]PageFrame, len(ft.frames))}
-	copy(s.frames, ft.frames)
+	for lo := 0; lo < len(ft.frames); lo += snapshotChunk {
+		hi := min(lo+snapshotChunk, len(ft.frames))
+		copy(s.frames[lo:hi], ft.frames[lo:hi])
+		for i := lo; i < hi; i++ {
+			if !s.frames[i].consistent() {
+				s.bad = append(s.bad, i)
+			}
+		}
+	}
+	ft.rebase(s)
 	return s
 }
 
-// Restore rewrites every descriptor from the snapshot.
+// Restore rewrites the table to equal the snapshot. Restoring the base
+// copies only the dirty descriptors; restoring any other snapshot copies
+// every descriptor and makes that snapshot the new base.
 func (ft *FrameTable) Restore(s *FrameTableSnapshot) {
-	copy(ft.frames, s.frames)
+	if len(s.frames) != len(ft.frames) {
+		panic(fmt.Sprintf("mm: restoring a %d-frame snapshot into a %d-frame table",
+			len(s.frames), len(ft.frames)))
+	}
+	if s != ft.base {
+		copy(ft.frames, s.frames)
+		ft.rebase(s)
+		return
+	}
+	for _, i := range ft.dirtyList {
+		ft.frames[i] = s.frames[i]
+	}
+	ft.clearDirty()
+}
+
+// rebase makes s, which the table now equals, the dirty-tracking base.
+func (ft *FrameTable) rebase(s *FrameTableSnapshot) {
+	if ft.dirty == nil {
+		ft.dirty = make([]uint64, (len(ft.frames)+63)/64)
+	}
+	ft.clearDirty()
+	ft.base = s
+}
+
+// clearDirty empties the dirty set. Every set bit is listed, so zeroing
+// the listed bits' words clears the bitmap.
+func (ft *FrameTable) clearDirty() {
+	for _, i := range ft.dirtyList {
+		ft.dirty[i>>6] = 0
+	}
+	ft.dirtyList = ft.dirtyList[:0]
 }
 
 // objectState is one live heap object's captured contents. The *Object
