@@ -32,6 +32,14 @@ import (
 	"nilihype/internal/core"
 	"nilihype/internal/guest"
 	"nilihype/internal/inject"
+	"nilihype/internal/telemetry"
+)
+
+// The names the -mechanism and -fault flags advertise; every one must
+// resolve (TestParseMechanism, TestParseFault).
+const (
+	mechanismNames = "nilihype | rehype | checkpoint | privvm-restart | hybrid | full-ladder"
+	faultNames     = "failstop | register | code | privvm-crash | privvm-hang | ioapic"
 )
 
 func main() {
@@ -43,8 +51,8 @@ func main() {
 
 func run() error {
 	var (
-		mechName   = flag.String("mechanism", "nilihype", "recovery mechanism: nilihype | rehype | checkpoint | privvm-restart | hybrid | full-ladder")
-		faultStr   = flag.String("fault", "failstop", "fault type: failstop | register | code | privvm-crash | privvm-hang | ioapic")
+		mechName   = flag.String("mechanism", "nilihype", "recovery mechanism: "+mechanismNames)
+		faultStr   = flag.String("fault", "failstop", "fault type: "+faultNames)
 		setupStr   = flag.String("setup", "3appvm", "target system: 1appvm | 3appvm")
 		workload   = flag.String("workload", "unixbench", "1AppVM benchmark: blkbench | unixbench | netbench")
 		runs       = flag.Int("runs", 300, "number of injection runs")
@@ -109,7 +117,7 @@ func run() error {
 	}
 	var mech core.Mechanism
 	if !mechIsLadder {
-		mech, err = parseMechanism(*mechName)
+		mech, err = core.ParseMechanism(*mechName)
 		if err != nil {
 			return err
 		}
@@ -144,33 +152,21 @@ func run() error {
 	}
 
 	if *traceRun > 0 {
-		ft, err := parseFault(*faultStr)
+		ft, err := inject.ParseFaultType(*faultStr)
 		if err != nil {
 			return err
 		}
-		r := campaign.Run(campaign.RunConfig{
-			Seed:          *traceRun,
-			Setup:         setup,
-			Fault:         ft,
-			Workload:      wl,
-			Logging:       *logging,
-			HVM:           *hvm,
-			Recovery:      cfgFor(mech),
-			BenchDuration: benchDur,
-			TraceCapacity: 4096,
+		return printTraceRun(campaign.RunConfig{
+			Seed:                   *traceRun,
+			Setup:                  setup,
+			Fault:                  ft,
+			Workload:               wl,
+			Logging:                *logging,
+			HVM:                    *hvm,
+			Recovery:               cfgFor(mech),
+			BenchDuration:          benchDur,
+			FlightRecorderCapacity: traceRunFlightCap,
 		})
-		fmt.Printf("seed %d: outcome=%v success=%v noVMF=%v fail=%q\n",
-			r.Seed, r.Outcome, r.Success, r.NoVMF, r.FailReason)
-		fmt.Println("recovery timeline (panic/spin/wedge/discard/retry/drop events):")
-		for _, line := range r.Trace {
-			for _, kind := range []string{" panic ", " spin ", " wedge ", " discard ", " retry ", " drop "} {
-				if strings.Contains(line, kind) {
-					fmt.Println(" ", line)
-					break
-				}
-			}
-		}
-		return nil
 	}
 
 	if *all {
@@ -190,7 +186,7 @@ func run() error {
 		return nil
 	}
 
-	ft, err := parseFault(*faultStr)
+	ft, err := inject.ParseFaultType(*faultStr)
 	if err != nil {
 		return err
 	}
@@ -201,6 +197,38 @@ func run() error {
 		}[ft]
 	}
 	return execOne(mech, ft, n)
+}
+
+// traceRunFlightCap sizes the -trace-run flight ring: 2^18 events hold a
+// default-horizon run without wrapping.
+const traceRunFlightCap = 1 << 18
+
+// printTraceRun runs one seed cold and prints its hypervisor-level fault
+// and recovery activity from the flight ring, then the causal journal
+// (detect, attempts, audit, escalation, disposition).
+func printTraceRun(rc campaign.RunConfig) error {
+	r, tel, jrn := campaign.TraceRun(rc)
+	fmt.Printf("seed %d: outcome=%v success=%v noVMF=%v fail=%q\n",
+		r.Seed, r.Outcome, r.Success, r.NoVMF, r.FailReason)
+	if tel == nil {
+		return fmt.Errorf("run failed to boot: %s", r.FailReason)
+	}
+	fmt.Println("recovery timeline (panic/spin/wedge/discard/retry/drop events):")
+	if total, held := tel.Flight.Total(), uint64(tel.Flight.Cap()); total > held {
+		fmt.Printf("  (%d oldest flight events evicted)\n", total-held)
+	}
+	for _, e := range tel.Flight.Events() {
+		switch e.Code {
+		case telemetry.EvPanic, telemetry.EvSpin, telemetry.EvWedge,
+			telemetry.EvDiscard, telemetry.EvRetry, telemetry.EvDrop:
+			fmt.Println(" ", tel.FormatEvent(e))
+		}
+	}
+	fmt.Println("recovery journal:")
+	for _, e := range jrn {
+		fmt.Println(" ", e)
+	}
+	return nil
 }
 
 // execFaultMatrix runs the E12 per-fault-class recovery matrix: every
@@ -320,21 +348,6 @@ func spawnShard(ctx context.Context, spec campaign.ShardSpec) (campaign.Summary,
 	return campaign.DecodeShardSummary(&out, spec.Index)
 }
 
-func parseMechanism(s string) (core.Mechanism, error) {
-	switch strings.ToLower(s) {
-	case "nilihype", "microreset":
-		return core.Microreset, nil
-	case "rehype", "microreboot":
-		return core.Microreboot, nil
-	case "rehype-cp", "checkpoint":
-		return core.CheckpointRestore, nil
-	case "privvm-restart":
-		return core.PrivVMRestart, nil
-	default:
-		return 0, fmt.Errorf("unknown mechanism %q", s)
-	}
-}
-
 // parseLadder resolves the escalating-ladder presets that name a whole
 // Config rather than a single mechanism.
 func parseLadder(s string) (core.Config, bool) {
@@ -345,25 +358,6 @@ func parseLadder(s string) (core.Config, bool) {
 		return core.FullLadderConfig(), true
 	default:
 		return core.Config{}, false
-	}
-}
-
-func parseFault(s string) (inject.FaultType, error) {
-	switch strings.ToLower(s) {
-	case "failstop":
-		return inject.Failstop, nil
-	case "register":
-		return inject.Register, nil
-	case "code":
-		return inject.Code, nil
-	case "privvm-crash":
-		return inject.PrivVMCrash, nil
-	case "privvm-hang":
-		return inject.PrivVMHang, nil
-	case "ioapic", "device":
-		return inject.DeviceIOAPIC, nil
-	default:
-		return 0, fmt.Errorf("unknown fault type %q", s)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"nilihype/internal/campaign"
@@ -9,38 +10,40 @@ import (
 	"nilihype/internal/inject"
 )
 
+// TestParseMechanism checks that every name the -mechanism flag
+// advertises resolves the way run() resolves it: a ladder preset first,
+// then a single mechanism.
 func TestParseMechanism(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    core.Mechanism
-		wantErr bool
-	}{
-		{"nilihype", core.Microreset, false},
-		{"MICRORESET", core.Microreset, false},
-		{"rehype", core.Microreboot, false},
-		{"microreboot", core.Microreboot, false},
-		{"checkpoint", core.CheckpointRestore, false},
-		{"rehype-cp", core.CheckpointRestore, false},
-		{"bogus", 0, true},
-	}
-	for _, tt := range tests {
-		got, err := parseMechanism(tt.in)
-		if (err != nil) != tt.wantErr || got != tt.want {
-			t.Errorf("parseMechanism(%q) = %v, %v", tt.in, got, err)
+	for _, name := range strings.Split(mechanismNames, " | ") {
+		if _, ok := parseLadder(name); ok {
+			continue
 		}
+		if _, err := core.ParseMechanism(name); err != nil {
+			t.Errorf("-mechanism advertises %q, which does not resolve: %v", name, err)
+		}
+	}
+	if got, ok := parseLadder("FULL-LADDER"); !ok || got.MaxAttempts() != core.FullLadderConfig().MaxAttempts() {
+		t.Errorf("parseLadder(FULL-LADDER) = %+v, %v", got, ok)
+	}
+	if _, ok := parseLadder("nilihype"); ok {
+		t.Error("parseLadder claimed a single mechanism")
 	}
 }
 
+// TestParseFault checks that every name the -fault flag advertises
+// resolves to a distinct fault type.
 func TestParseFault(t *testing.T) {
-	for in, want := range map[string]inject.FaultType{
-		"failstop": inject.Failstop, "Register": inject.Register, "code": inject.Code,
-	} {
-		if got, err := parseFault(in); err != nil || got != want {
-			t.Errorf("parseFault(%q) = %v, %v", in, got, err)
+	seen := map[inject.FaultType]string{}
+	for _, name := range strings.Split(faultNames, " | ") {
+		ft, err := inject.ParseFaultType(name)
+		if err != nil {
+			t.Errorf("-fault advertises %q, which does not resolve: %v", name, err)
+			continue
 		}
-	}
-	if _, err := parseFault("alpha"); err == nil {
-		t.Error("parseFault accepted junk")
+		if prev, dup := seen[ft]; dup {
+			t.Errorf("-fault names %q and %q both resolve to %v", prev, name, ft)
+		}
+		seen[ft] = name
 	}
 }
 

@@ -63,25 +63,6 @@ type options struct {
 	Format   string
 }
 
-func parseFault(s string) (inject.FaultType, error) {
-	switch strings.ToLower(s) {
-	case "failstop":
-		return inject.Failstop, nil
-	case "register":
-		return inject.Register, nil
-	case "code":
-		return inject.Code, nil
-	case "privvm-crash":
-		return inject.PrivVMCrash, nil
-	case "privvm-hang":
-		return inject.PrivVMHang, nil
-	case "ioapic", "device":
-		return inject.DeviceIOAPIC, nil
-	default:
-		return 0, fmt.Errorf("unknown fault type %q", s)
-	}
-}
-
 func parseLadder(s string) (core.Config, error) {
 	switch strings.ToLower(s) {
 	case "microreset", "nilihype":
@@ -107,7 +88,7 @@ type jsonReport struct {
 }
 
 func run(o options, w io.Writer) error {
-	ft, err := parseFault(o.Fault)
+	ft, err := inject.ParseFaultType(o.Fault)
 	if err != nil {
 		return err
 	}

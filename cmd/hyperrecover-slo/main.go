@@ -55,7 +55,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	fault, err := parseFault(*faultStr)
+	fault, err := inject.ParseFaultType(*faultStr)
 	if err != nil {
 		return err
 	}
@@ -136,20 +136,16 @@ func parseMechanisms(list string) ([]mechanismSpec, error) {
 		}
 		var cfg core.Config
 		switch strings.ToLower(name) {
-		case "nilihype", "microreset":
-			cfg = core.Config{Mechanism: core.Microreset, Enhancements: core.AllEnhancements}
-		case "rehype", "microreboot":
-			cfg = core.Config{Mechanism: core.Microreboot, Enhancements: core.AllEnhancements}
-		case "rehype-cp", "checkpoint":
-			cfg = core.Config{Mechanism: core.CheckpointRestore, Enhancements: core.AllEnhancements}
-		case "privvm-restart":
-			cfg = core.Config{Mechanism: core.PrivVMRestart, Enhancements: core.AllEnhancements}
 		case "hybrid":
 			cfg = core.HybridConfig()
 		case "full-ladder":
 			cfg = core.FullLadderConfig()
 		default:
-			return nil, fmt.Errorf("unknown mechanism %q", name)
+			m, err := core.ParseMechanism(name)
+			if err != nil {
+				return nil, err
+			}
+			cfg = core.Config{Mechanism: m, Enhancements: core.AllEnhancements}
 		}
 		out = append(out, mechanismSpec{name: strings.ToLower(name), cfg: cfg})
 	}
@@ -157,25 +153,6 @@ func parseMechanisms(list string) ([]mechanismSpec, error) {
 		return nil, fmt.Errorf("empty mechanism list")
 	}
 	return out, nil
-}
-
-func parseFault(s string) (inject.FaultType, error) {
-	switch strings.ToLower(s) {
-	case "failstop":
-		return inject.Failstop, nil
-	case "register":
-		return inject.Register, nil
-	case "code":
-		return inject.Code, nil
-	case "privvm-crash":
-		return inject.PrivVMCrash, nil
-	case "privvm-hang":
-		return inject.PrivVMHang, nil
-	case "ioapic", "device":
-		return inject.DeviceIOAPIC, nil
-	default:
-		return 0, fmt.Errorf("unknown fault type %q", s)
-	}
 }
 
 func parseSetup(s string) (campaign.Setup, error) {

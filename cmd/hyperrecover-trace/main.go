@@ -2,14 +2,17 @@
 // telemetry: the flight-recorder timeline as a Chrome trace_event JSON
 // document (open chrome://tracing — or https://ui.perfetto.dev — and load
 // the file; per-CPU lanes carry hypervisor activity, the "recovery" lane
-// carries the detect→pause→repair-phase→resume spans and markers), or as
-// a plain-text timeline followed by the end-of-run metrics registry.
+// carries the repair-phase spans and resume markers, and the "journal"
+// lane carries the recovery story from fault and detect through attempt,
+// audit and escalate to the disposition), or as a plain-text timeline
+// followed by the journal and the end-of-run metrics registry.
 //
 // Examples:
 //
 //	hyperrecover-trace -seed 3 -fault code -adversarial > trace.json
 //	hyperrecover-trace -adversarial -find-failed 50 -format text
 //	hyperrecover-trace -seed 7 -mechanism rehype -fault register > trace.json
+//	hyperrecover-trace -seed 3 -fault ioapic -format text
 package main
 
 import (
@@ -26,11 +29,18 @@ import (
 	"nilihype/internal/journal"
 )
 
+// The names the -fault and -mechanism flags advertise; every one must
+// resolve (TestParseMechanismAndFault).
+const (
+	faultNames     = "failstop | register | code | privvm-crash | privvm-hang | ioapic"
+	mechanismNames = "nilihype | rehype | checkpoint | privvm-restart"
+)
+
 func main() {
 	var o options
 	flag.Uint64Var(&o.Seed, "seed", 1, "injection run seed")
-	flag.StringVar(&o.Fault, "fault", "code", "fault type: failstop | register | code")
-	flag.StringVar(&o.Mechanism, "mechanism", "nilihype", "recovery mechanism: nilihype | rehype | checkpoint")
+	flag.StringVar(&o.Fault, "fault", "code", "fault type: "+faultNames)
+	flag.StringVar(&o.Mechanism, "mechanism", "nilihype", "recovery mechanism: "+mechanismNames)
 	flag.BoolVar(&o.Adversarial, "adversarial", false,
 		"adversarial run: hybrid escalation ladder, audit gate, burst fault, fault-during-recovery")
 	flag.StringVar(&o.Format, "format", "chrome", "output format: chrome | text")
@@ -62,11 +72,11 @@ type options struct {
 
 // buildRunConfig maps options to the campaign run configuration.
 func buildRunConfig(o options) (campaign.RunConfig, error) {
-	mech, err := parseMechanism(o.Mechanism)
+	mech, err := core.ParseMechanism(o.Mechanism)
 	if err != nil {
 		return campaign.RunConfig{}, err
 	}
-	ft, err := parseFault(o.Fault)
+	ft, err := inject.ParseFaultType(o.Fault)
 	if err != nil {
 		return campaign.RunConfig{}, err
 	}
@@ -138,30 +148,4 @@ func render(o options, w, diag io.Writer) error {
 // runs whose flight recording is worth looking at.
 func wentWrong(r campaign.Result) bool {
 	return r.Detected && (!r.Success || r.Escalated)
-}
-
-func parseMechanism(s string) (core.Mechanism, error) {
-	switch strings.ToLower(s) {
-	case "nilihype", "microreset":
-		return core.Microreset, nil
-	case "rehype", "microreboot":
-		return core.Microreboot, nil
-	case "rehype-cp", "checkpoint":
-		return core.CheckpointRestore, nil
-	default:
-		return 0, fmt.Errorf("unknown mechanism %q", s)
-	}
-}
-
-func parseFault(s string) (inject.FaultType, error) {
-	switch strings.ToLower(s) {
-	case "failstop":
-		return inject.Failstop, nil
-	case "register":
-		return inject.Register, nil
-	case "code":
-		return inject.Code, nil
-	default:
-		return 0, fmt.Errorf("unknown fault type %q", s)
-	}
 }

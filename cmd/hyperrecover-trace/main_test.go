@@ -10,18 +10,36 @@ import (
 	"nilihype/internal/inject"
 )
 
+// TestParseMechanismAndFault checks that every fault and mechanism name
+// the flags advertise reaches the run configuration — including the
+// IO-APIC, PrivVM fault classes and the PrivVM-restart rung — and that
+// unknown names are rejected.
 func TestParseMechanismAndFault(t *testing.T) {
-	if m, err := parseMechanism("rehype"); err != nil || m != core.Microreboot {
-		t.Fatalf("parseMechanism(rehype) = %v, %v", m, err)
+	for _, name := range strings.Split(faultNames, " | ") {
+		want, err := inject.ParseFaultType(name)
+		if err != nil {
+			t.Fatalf("-fault advertises %q, which does not resolve: %v", name, err)
+		}
+		rc, err := buildRunConfig(options{Fault: name, Mechanism: "nilihype"})
+		if err != nil || rc.Fault != want {
+			t.Fatalf("buildRunConfig(-fault %s) = %v, %v", name, rc.Fault, err)
+		}
 	}
-	if _, err := parseMechanism("bogus"); err == nil {
-		t.Fatal("parseMechanism accepted bogus")
+	for _, name := range strings.Split(mechanismNames, " | ") {
+		want, err := core.ParseMechanism(name)
+		if err != nil {
+			t.Fatalf("-mechanism advertises %q, which does not resolve: %v", name, err)
+		}
+		rc, err := buildRunConfig(options{Fault: "code", Mechanism: name})
+		if err != nil || rc.Recovery.Mechanism != want {
+			t.Fatalf("buildRunConfig(-mechanism %s) = %v, %v", name, rc.Recovery.Mechanism, err)
+		}
 	}
-	if f, err := parseFault("Register"); err != nil || f != inject.Register {
-		t.Fatalf("parseFault(Register) = %v, %v", f, err)
+	if _, err := buildRunConfig(options{Fault: "code", Mechanism: "bogus"}); err == nil {
+		t.Fatal("buildRunConfig accepted mechanism bogus")
 	}
-	if _, err := parseFault("cosmic"); err == nil {
-		t.Fatal("parseFault accepted cosmic")
+	if _, err := buildRunConfig(options{Fault: "cosmic", Mechanism: "nilihype"}); err == nil {
+		t.Fatal("buildRunConfig accepted fault cosmic")
 	}
 }
 
@@ -113,5 +131,22 @@ func TestRenderRejectsUnknownFormat(t *testing.T) {
 	err := render(options{Fault: "failstop", Mechanism: "nilihype", Format: "svg"}, &out, &diag)
 	if err == nil || !strings.Contains(err.Error(), "unknown format") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestIOAPICRunRendersText renders an IO-APIC fault run: the injection
+// reaches the flight timeline and the fault, detection and disposition
+// reach the journal.
+func TestIOAPICRunRendersText(t *testing.T) {
+	o := options{Seed: 3, Fault: "ioapic", Mechanism: "nilihype", Format: "text", FlightCap: 1024}
+	var out, diag bytes.Buffer
+	if err := render(o, &out, &diag); err != nil {
+		t.Fatalf("render: %v", err)
+	}
+	s := out.String()
+	for _, want := range []string{"inject", "recovery journal:", "IO-APIC (primary)", "irq-delivery", "disposition"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("IO-APIC text output missing %q:\n%s", want, s)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"nilihype/internal/hv"
 	"nilihype/internal/hypercall"
 	"nilihype/internal/simclock"
+	"nilihype/internal/telemetry"
 )
 
 func main() {
@@ -90,7 +91,7 @@ func run() error {
 		frame, f.UseCount, f.Validated)
 	fmt.Printf("  page_alloc lock held: %v\n", d.PageAllocLock.Held())
 	fmt.Printf("  local_irq_count: %d\n", h.IRQCount(1))
-	fmt.Printf("  hypercalls retried: %d\n", h.Stats.RetriedCalls)
+	fmt.Printf("  hypercalls retried: %d\n", h.Tel.Counters[telemetry.CtrRetries])
 	if failed, why := h.Failed(); failed {
 		return fmt.Errorf("hypervisor failed: %s", why)
 	}

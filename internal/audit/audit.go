@@ -250,7 +250,6 @@ func Run(h *hv.Hypervisor, opts Options) *Report {
 	h.Tel.Add(telemetry.CtrAuditRepairs, uint64(r.Repaired))
 	h.Tel.Add(telemetry.CtrAuditDegraded, uint64(degraded))
 	h.Tel.Add(telemetry.CtrAuditEscalate, uint64(r.Escalations))
-	h.Tel.Record(0, telemetry.EvAudit, telemetry.AuditArg(len(r.Violations), r.Repaired, r.Escalations))
 	return r
 }
 

@@ -184,7 +184,7 @@ func runPartitioned(h *hv.Hypervisor, opts Options) *Report {
 		domains.Units = append(domains.Units, recdomain.Unit{
 			Dom:  recdomain.Domain{Kind: recdomain.PerGuest, ID: o},
 			Name: fmt.Sprintf("audit.evtchn.scan.d%d", o), Cost: costEvtchnScan,
-			Run:  func() { plans[i] = scanEvtchnOwner(h, o) },
+			Run: func() { plans[i] = scanEvtchnOwner(h, o) },
 		})
 	}
 	for _, d := range doms {
@@ -196,7 +196,7 @@ func runPartitioned(h *hv.Hypervisor, opts Options) *Report {
 		domains.Units = append(domains.Units, recdomain.Unit{
 			Dom:  recdomain.Domain{Kind: recdomain.PerGuest, ID: d.ID},
 			Name: fmt.Sprintf("audit.grants.d%d", d.ID), Cost: costGrantsGuest,
-			Run:  func() { auditGrantsFor(d, doms, sr) },
+			Run: func() { auditGrantsFor(d, doms, sr) },
 		})
 	}
 
@@ -247,7 +247,6 @@ func runPartitioned(h *hv.Hypervisor, opts Options) *Report {
 	h.Tel.Add(telemetry.CtrAuditRepairs, uint64(r.Repaired))
 	h.Tel.Add(telemetry.CtrAuditDegraded, uint64(degraded))
 	h.Tel.Add(telemetry.CtrAuditEscalate, uint64(r.Escalations))
-	h.Tel.Record(0, telemetry.EvAudit, telemetry.AuditArg(len(r.Violations), r.Repaired, r.Escalations))
 	return r
 }
 

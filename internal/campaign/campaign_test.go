@@ -16,6 +16,7 @@ import (
 	"nilihype/internal/mm"
 	"nilihype/internal/sched"
 	"nilihype/internal/simclock"
+	"nilihype/internal/telemetry"
 )
 
 func fastCfg(fault inject.FaultType, mech core.Mechanism) RunConfig {
@@ -442,22 +443,28 @@ func TestPostRecoveryInvariantSoak(t *testing.T) {
 
 func TestRunTraceTimeline(t *testing.T) {
 	cfg := fastCfg(inject.Failstop, core.Microreset)
-	cfg.TraceCapacity = 512
-	r := Run(cfg)
-	if len(r.Trace) == 0 {
-		t.Fatal("no trace recorded")
+	cfg.FlightRecorderCapacity = 1 << 18
+	r, tel, jrn := TraceRun(cfg)
+	if tel == nil || !r.Detected {
+		t.Fatalf("trace run: detected=%v fail=%q", r.Detected, r.FailReason)
 	}
-	var hasPanic, hasDiscard bool
-	for _, line := range r.Trace {
-		if strings.Contains(line, "panic") {
-			hasPanic = true
-		}
-		if strings.Contains(line, "discard") {
-			hasDiscard = true
+	if total := tel.Flight.Total(); total > uint64(tel.Flight.Cap()) {
+		t.Fatalf("flight ring wrapped: %d events into %d slots", total, tel.Flight.Cap())
+	}
+	var panics, discards int
+	for _, e := range tel.Flight.Events() {
+		switch e.Code {
+		case telemetry.EvPanic:
+			panics++
+		case telemetry.EvDiscard:
+			discards++
 		}
 	}
-	if !hasPanic || !hasDiscard {
-		t.Fatalf("timeline missing recovery events: %v", r.Trace)
+	if panics == 0 || discards == 0 {
+		t.Fatalf("flight timeline missing recovery events: panics=%d discards=%d", panics, discards)
+	}
+	if len(jrn) == 0 || jrn[len(jrn)-1].Kind != "disposition" {
+		t.Fatalf("journal does not end in a disposition: %v", jrn)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 func TestOnResultCloneSurvivesRecycling(t *testing.T) {
 	rc := fastCfg(inject.Code, core.Microreset)
 	rc.Recovery.Escalation.Audit = true
-	rc.TraceCapacity = 256 // keep Trace non-empty so aliasing has somewhere to show
 	var raw, clones []Result
 	var snaps [][]byte
 	c := Campaign{Base: rc, Runs: 4, Parallelism: 1, SeedBase: 11,
@@ -43,9 +42,6 @@ func TestOnResultCloneSurvivesRecycling(t *testing.T) {
 		for j := range raw[i].VMs {
 			raw[i].VMs[j] = VMResult{Reason: "scribbled"}
 		}
-		for j := range raw[i].Trace {
-			raw[i].Trace[j] = "scribbled"
-		}
 		for j := range raw[i].Phases {
 			raw[i].Phases[j] = core.LatencyStep{Name: "scribbled"}
 		}
@@ -54,7 +50,7 @@ func TestOnResultCloneSurvivesRecycling(t *testing.T) {
 		}
 	}
 
-	sawTrace := false
+	sawPhases := false
 	for i, cl := range clones {
 		got, err := json.Marshal(cl)
 		if err != nil {
@@ -63,12 +59,12 @@ func TestOnResultCloneSurvivesRecycling(t *testing.T) {
 		if string(got) != string(snaps[i]) {
 			t.Errorf("clone %d no longer matches its callback-time snapshot:\nwant %s\ngot  %s", i, snaps[i], got)
 		}
-		sawTrace = sawTrace || len(cl.Trace) > 0
+		sawPhases = sawPhases || len(cl.Phases) > 0
 		if len(cl.VMs) == 0 {
 			t.Errorf("clone %d has no VM results; the aliasing check needs populated slices", i)
 		}
 	}
-	if !sawTrace {
-		t.Error("no clone carried a trace; the aliasing check needs populated slices")
+	if !sawPhases {
+		t.Error("no clone carried recovery phases; the aliasing check needs populated slices")
 	}
 }

@@ -103,11 +103,6 @@ type RunConfig struct {
 	// records breaches in Result.InvariantViolations.
 	CheckInvariants bool
 
-	// TraceCapacity, when positive, records up to that many hypervisor
-	// trace events (dispatches, panics, discards, retries) into
-	// Result.Trace — a per-run timeline for debugging and demos.
-	TraceCapacity int
-
 	// FlightRecorderCapacity overrides the always-on telemetry flight
 	// ring size (0 = hv.DefaultFlightRecorderCapacity). The capacity
 	// shapes the boot image, so runs differing in it fork from separate
@@ -339,9 +334,6 @@ type Result struct {
 	// found when RunConfig.CheckInvariants is set (empty = clean).
 	InvariantViolations []string
 
-	// Trace is the recorded event timeline (RunConfig.TraceCapacity > 0).
-	Trace []string
-
 	// Phases flattens the recovery attempts' non-group latency steps, in
 	// execution order — the per-phase samples the campaign summary
 	// histograms aggregate.
@@ -388,7 +380,6 @@ func (r Result) Clone() Result {
 	r.VMs = append([]VMResult(nil), r.VMs...)
 	r.SacrificedVMs = append([]int(nil), r.SacrificedVMs...)
 	r.InvariantViolations = append([]string(nil), r.InvariantViolations...)
-	r.Trace = append([]string(nil), r.Trace...)
 	r.Phases = append([]core.LatencyStep(nil), r.Phases...)
 	r.Flight = append([]string(nil), r.Flight...)
 	r.Journal = append([]journal.Entry(nil), r.Journal...)
@@ -411,7 +402,6 @@ func (r *Result) reset(seed uint64) {
 		NewVMOK:       true,
 		VMs:           r.VMs[:0],
 		SacrificedVMs: r.SacrificedVMs[:0],
-		Trace:         r.Trace[:0],
 		Phases:        r.Phases[:0],
 	}
 }
@@ -426,9 +416,6 @@ func (r Result) normalized() Result {
 	}
 	if len(r.SacrificedVMs) == 0 {
 		r.SacrificedVMs = nil
-	}
-	if len(r.Trace) == 0 {
-		r.Trace = nil
 	}
 	if len(r.Phases) == 0 {
 		r.Phases = nil
@@ -451,7 +438,7 @@ func Run(rc RunConfig) Result {
 
 // run executes one fault-injection run on the image: restore the pristine
 // snapshot (unless this is the first use of a fresh boot), re-arm all
-// per-run state (RNG streams, engine, detector, workload seeds, tracer,
+// per-run state (RNG streams, engine, detector, workload seeds,
 // injector), run to completion and classify.
 func (img *image) run(rc RunConfig) Result {
 	rc = rc.withDefaults()
@@ -483,21 +470,6 @@ func (img *image) run(rc RunConfig) Result {
 	// guest world re-arms its management service (housekeeping tick,
 	// domctl capability) against the fresh domain.
 	engine.OnPrivVMRestart = world.ResumePrivVM
-
-	var recorder *hv.TraceRecorder
-	if rc.TraceCapacity > 0 {
-		recorder = hv.NewTraceRecorder(rc.TraceCapacity)
-		// Per-request dispatch/complete events arrive at hundreds per
-		// virtual millisecond and would evict the recovery story; record
-		// the fault- and recovery-relevant kinds.
-		h.SetTracer(func(e hv.TraceEvent) {
-			switch e.Kind {
-			case hv.TraceDispatch, hv.TraceComplete:
-				return
-			}
-			recorder.Record(e)
-		})
-	}
 
 	// Benchmarks: seed each pre-created VM in creation order (consuming
 	// the world stream exactly like the legacy boot-per-run path), then
@@ -668,11 +640,6 @@ func (img *image) run(rc RunConfig) Result {
 
 	if rc.CheckInvariants && res.Detected && res.Recovered && res.FailReason == "" {
 		res.InvariantViolations = auditInvariants(h)
-	}
-	if recorder != nil {
-		recorder.Do(func(e hv.TraceEvent) {
-			res.Trace = append(res.Trace, e.String())
-		})
 	}
 
 	switch {

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"nilihype/internal/audit"
@@ -67,6 +68,25 @@ func (m Mechanism) String() string {
 		return "PrivVM-Restart"
 	default:
 		return fmt.Sprintf("mechanism(%d)", int(m))
+	}
+}
+
+// ParseMechanism resolves a command-line mechanism name (case-insensitive):
+// nilihype (alias microreset), rehype (microreboot), checkpoint
+// (rehype-cp), or privvm-restart. Ladder presets such as "hybrid" name a
+// whole Config and are resolved by the caller.
+func ParseMechanism(s string) (Mechanism, error) {
+	switch strings.ToLower(s) {
+	case "nilihype", "microreset":
+		return Microreset, nil
+	case "rehype", "microreboot":
+		return Microreboot, nil
+	case "rehype-cp", "checkpoint":
+		return CheckpointRestore, nil
+	case "privvm-restart":
+		return PrivVMRestart, nil
+	default:
+		return 0, fmt.Errorf("unknown mechanism %q", s)
 	}
 }
 
@@ -559,7 +579,6 @@ func (en *Engine) OnDetection(e detect.Event) {
 func (en *Engine) beginAttempt(trigger string) {
 	mech := en.Cfg.MechanismFor(len(en.Attempts))
 	en.H.Tel.Counters[telemetry.CtrRecoveryAttempts]++
-	en.H.Tel.Record(en.lastEvent.CPU, telemetry.EvAttemptBegin, en.H.Tel.Intern(mech.String()))
 	en.H.Jrn.Attempt(en.H.Clock.Now(), en.lastEvent.CPU, mech.String(), len(en.Attempts)+1)
 	en.Attempts = append(en.Attempts, Attempt{
 		Mechanism: mech,
@@ -579,15 +598,12 @@ func (en *Engine) attemptFailed(reason string) {
 	if cur.FailReason == "" {
 		cur.FailReason = reason
 	}
-	en.H.Tel.Record(en.lastEvent.CPU, telemetry.EvAttemptFail, en.H.Tel.Intern(reason))
 	en.H.Jrn.AttemptFail(en.H.Clock.Now(), en.lastEvent.CPU, reason)
 	if len(en.Attempts) >= en.Cfg.MaxAttempts() {
 		en.fail(reason)
 		return
 	}
 	en.H.Tel.Counters[telemetry.CtrEscalations]++
-	en.H.Tel.Record(en.lastEvent.CPU, telemetry.EvEscalate,
-		en.H.Tel.Intern(en.Cfg.MechanismFor(len(en.Attempts)).String()))
 	en.H.Jrn.Escalate(en.H.Clock.Now(), en.lastEvent.CPU, en.Cfg.MechanismFor(len(en.Attempts)).String())
 	// The failed attempt may already have marked the hypervisor failed
 	// (e.g. a panic path with no recovery hook); the next rung needs a
@@ -605,9 +621,8 @@ func (en *Engine) fail(reason string) {
 	}
 	if n := len(en.Attempts); n > 0 && en.Attempts[n-1].FailReason == "" {
 		en.Attempts[n-1].FailReason = reason
-		// Attempt failures routed through attemptFailed already recorded
-		// their flight event; this branch covers direct terminal paths.
-		en.H.Tel.Record(en.lastEvent.CPU, telemetry.EvAttemptFail, en.H.Tel.Intern(reason))
+		// Attempt failures routed through attemptFailed already journaled
+		// their attempt-fail; this branch covers direct terminal paths.
 		en.H.Jrn.AttemptFail(en.H.Clock.Now(), en.lastEvent.CPU, reason)
 	}
 	en.H.MarkFailed(reason)

@@ -11,7 +11,31 @@ import (
 	"nilihype/internal/hw"
 	"nilihype/internal/hypercall"
 	"nilihype/internal/simclock"
+	"nilihype/internal/telemetry"
 )
+
+func TestParseMechanism(t *testing.T) {
+	for _, tt := range []struct {
+		in      string
+		want    Mechanism
+		wantErr bool
+	}{
+		{"nilihype", Microreset, false},
+		{"MICRORESET", Microreset, false},
+		{"rehype", Microreboot, false},
+		{"microreboot", Microreboot, false},
+		{"checkpoint", CheckpointRestore, false},
+		{"rehype-cp", CheckpointRestore, false},
+		{"privvm-restart", PrivVMRestart, false},
+		{"hybrid", 0, true}, // a ladder preset, resolved by the caller
+		{"bogus", 0, true},
+	} {
+		got, err := ParseMechanism(tt.in)
+		if (err != nil) != tt.wantErr || got != tt.want {
+			t.Errorf("ParseMechanism(%q) = %v, %v", tt.in, got, err)
+		}
+	}
+}
 
 // testRNG drives the structural-corruption helpers in tests; the seed is
 // fixed so failures reproduce.
@@ -119,9 +143,9 @@ func TestMicroresetRecoversFromFailstop(t *testing.T) {
 		t.Fatalf("hypervisor failed: %s", reason)
 	}
 	// System keeps running: timer IRQs continue on all CPUs.
-	before := r.h.Stats.TimerIRQs
+	before := r.h.Tel.Counters[telemetry.CtrTimerIRQs]
 	r.clk.RunUntil(time.Second)
-	if r.h.Stats.TimerIRQs <= before {
+	if r.h.Tel.Counters[telemetry.CtrTimerIRQs] <= before {
 		t.Fatal("no timer activity after recovery")
 	}
 	if !strings.Contains(r.engine.Summary(), "recovered") {

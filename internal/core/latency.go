@@ -120,7 +120,7 @@ func (en *Engine) runRepairPlan(enh Enhancements) {
 			lv.Units = append(lv.Units, recdomain.Unit{
 				Dom:  recdomain.Domain{Kind: recdomain.PerCPU, ID: cpu},
 				Name: fmt.Sprintf("repair.irq.cpu%d", cpu), Cost: per,
-				Run:  func() { h.ClearIRQCountOn(cpu) },
+				Run: func() { h.ClearIRQCountOn(cpu) },
 			})
 		}
 	}
@@ -128,7 +128,7 @@ func (en *Engine) runRepairPlan(enh Enhancements) {
 		lv.Units = append(lv.Units, recdomain.Unit{
 			Dom:  recdomain.Domain{Kind: recdomain.Global},
 			Name: "repair.sched", Cost: schedRepairCost,
-			Run:  func() { h.Sched.RepairFromPerCPU() },
+			Run: func() { h.Sched.RepairFromPerCPU() },
 		})
 	}
 	workers := en.Cfg.RepairCPUs

@@ -291,7 +291,6 @@ func (d *Detector) fire(e Event) {
 	case IRQDelivery:
 		d.h.Tel.Counters[telemetry.CtrDetectIRQ]++
 	}
-	d.h.Tel.Record(e.CPU, telemetry.EvDetect, d.h.Tel.Intern(e.Reason))
 	d.h.Jrn.Detect(e.At, e.CPU, e.Reason)
 	if d.hook != nil {
 		d.hook(e)

@@ -8,6 +8,7 @@ import (
 	"nilihype/internal/hw"
 	"nilihype/internal/hypercall"
 	"nilihype/internal/simclock"
+	"nilihype/internal/telemetry"
 )
 
 func newWorld(t *testing.T) (*World, *hv.Hypervisor, *simclock.Clock) {
@@ -79,8 +80,8 @@ func TestUnixBenchCompletesCleanRun(t *testing.T) {
 	if ok, reason := vm.Verdict(); !ok {
 		t.Fatalf("UnixBench failed: %s (ops=%d)", reason, vm.OpsCompleted)
 	}
-	if h.Stats.Hypercalls < 500 {
-		t.Fatalf("only %d hypercalls", h.Stats.Hypercalls)
+	if h.Tel.Counters[telemetry.CtrDispatches] < 500 {
+		t.Fatalf("only %d hypercalls", h.Tel.Counters[telemetry.CtrDispatches])
 	}
 	// No leaked locks or irq counts in steady state.
 	if held := h.Locks.HeldLocks(); len(held) != 0 {
@@ -204,8 +205,8 @@ func TestPrivVMBackgroundActivity(t *testing.T) {
 	w, h, clk := newWorld(t)
 	w.StartPrivVM()
 	clk.RunUntil(500 * time.Millisecond)
-	if h.Stats.Hypercalls < 50 {
-		t.Fatalf("PrivVM issued only %d hypercalls", h.Stats.Hypercalls)
+	if h.Tel.Counters[telemetry.CtrDispatches] < 50 {
+		t.Fatalf("PrivVM issued only %d hypercalls", h.Tel.Counters[telemetry.CtrDispatches])
 	}
 	if w.PrivVMFailed() {
 		t.Fatal("PrivVM failed on clean run")

@@ -3,6 +3,8 @@ package hv
 import (
 	"testing"
 	"time"
+
+	"nilihype/internal/telemetry"
 )
 
 func TestResumeKeepsDeferredWorkAcrossRePause(t *testing.T) {
@@ -54,10 +56,10 @@ func TestResumeStopsDeferredWorkOnFailure(t *testing.T) {
 
 func TestClearFailedRevivesSimulation(t *testing.T) {
 	h, clk := newBooted(t)
-	before := h.Stats.TimerIRQs
+	before := h.Tel.Counters[telemetry.CtrTimerIRQs]
 	h.MarkFailed("attempt failed")
 	clk.RunUntil(clk.Now() + 50*time.Millisecond)
-	if h.Stats.TimerIRQs != before {
+	if h.Tel.Counters[telemetry.CtrTimerIRQs] != before {
 		t.Fatal("clock advanced events while failed")
 	}
 	h.ClearFailed()
@@ -65,7 +67,7 @@ func TestClearFailedRevivesSimulation(t *testing.T) {
 		t.Fatalf("still failed: %q", reason)
 	}
 	clk.RunUntil(clk.Now() + 50*time.Millisecond)
-	if h.Stats.TimerIRQs <= before {
+	if h.Tel.Counters[telemetry.CtrTimerIRQs] <= before {
 		t.Fatal("no timer activity after ClearFailed")
 	}
 }

@@ -87,7 +87,6 @@ func (h *Hypervisor) Dispatch(cpu int, call *hypercall.Call) {
 	call.Seq = h.callSeq
 	call.Done = false
 	h.callSeq++
-	h.Stats.Hypercalls++
 	h.Tel.Counters[telemetry.CtrDispatches]++
 	h.Tel.Counters[telemetry.CtrOp(int(call.Op))]++
 	h.Tel.Record(cpu, telemetry.EvDispatch, uint64(call.Op))
@@ -107,7 +106,6 @@ func (h *Hypervisor) Dispatch(cpu int, call *hypercall.Call) {
 	pc.CurrentProg = prog
 	pc.CurrentStep = 0
 	pc.abandonedUnmitigated = false
-	h.traceCall(cpu, TraceDispatch, call)
 	h.runProgram(cpu)
 }
 
@@ -128,7 +126,6 @@ func (h *Hypervisor) runProgram(cpu int) {
 		if h.injectArmed {
 			if h.injectBudget < int64(step.Instrs) {
 				h.injectArmed = false
-				h.Stats.InjectionFired = true
 				action, reason := h.injectFn(h.injectionPoint(pc, step))
 				h.Tel.Counters[telemetry.CtrInjections]++
 				h.Tel.Record(cpu, telemetry.EvInject, h.Tel.Intern(reason))
@@ -243,7 +240,6 @@ func (h *Hypervisor) completeCall(cpu int) {
 			h.Tel.Counters[telemetry.CtrMgmtCompletions]++
 		}
 		h.Tel.Record(cpu, telemetry.EvComplete, uint64(call.Op))
-		h.traceCall(cpu, TraceComplete, call)
 		if h.callDoneHook != nil {
 			h.callDoneHook(call, nil)
 		}
@@ -259,10 +255,8 @@ func (h *Hypervisor) spin(cpu int, l *locking.Lock) {
 	pc := h.percpu[cpu]
 	pc.Spinning = l
 	h.Machine.CPU(cpu).IntrDisabled = true
-	h.Stats.Spins++
 	h.Tel.Counters[telemetry.CtrSpins]++
 	h.Tel.Record(cpu, telemetry.EvSpin, h.Tel.Intern(l.Name()))
-	h.trace(cpu, TraceSpin, l.Name())
 }
 
 // wedge marks cpu as executing garbage (wild jump): no progress, no
@@ -273,7 +267,6 @@ func (h *Hypervisor) wedge(cpu int) {
 	h.Machine.CPU(cpu).IntrDisabled = true
 	h.Tel.Counters[telemetry.CtrWedges]++
 	h.Tel.Record(cpu, telemetry.EvWedge, 0)
-	h.trace(cpu, TraceWedge, "no further progress")
 }
 
 // Panic models a hypervisor panic: a fatal exception or failed assertion.
@@ -284,12 +277,10 @@ func (h *Hypervisor) Panic(cpu int, reason string) {
 	if h.failed {
 		return
 	}
-	h.Stats.Panics++
 	h.percpu[cpu].LocalIRQCount++
 	h.Tel.Counters[telemetry.CtrPanics]++
 	h.Tel.Record(cpu, telemetry.EvPanic, h.Tel.Intern(reason))
 	h.Cons.Write(fmt.Sprintf("(XEN) cpu%d panic: %s", cpu, reason))
-	h.trace(cpu, TracePanic, reason)
 	if h.panicHook != nil {
 		h.panicHook(cpu, reason)
 		return

@@ -146,9 +146,6 @@ type Hypervisor struct {
 	// SetSchedFluxProb).
 	schedFluxProb float64
 
-	// tracer, when non-nil, receives hypervisor trace events.
-	tracer func(TraceEvent)
-
 	// paused is set while recovery is in progress: guest activity defers
 	// and device interrupts stay pending.
 	paused      bool
@@ -177,22 +174,6 @@ type Hypervisor struct {
 	// audit or ladder rung can help.
 	staticScratch  []uint64
 	recoveryVector uint64
-
-	// Stats accumulates counters for reports and tests.
-	Stats Stats
-}
-
-// Stats holds run counters.
-type Stats struct {
-	Hypercalls     uint64
-	Interrupts     uint64
-	Panics         uint64
-	Spins          uint64
-	RetriedCalls   uint64
-	DroppedCalls   uint64
-	TimerIRQs      uint64
-	DeviceIRQs     uint64
-	InjectionFired bool
 }
 
 // CrossCPUWait is one in-flight synchronous cross-CPU operation.

@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"nilihype/internal/hypercall"
 	"nilihype/internal/sched"
 	"nilihype/internal/simclock"
+	"nilihype/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -40,6 +42,29 @@ func addAppVM(t *testing.T, h *Hypervisor, id, cpu int) {
 	if err := h.CreateDomain(id, "app", 4096, cpu, false); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// flightSince returns the flight events recorded since the ring's total
+// was mark, oldest first, rendered as "cpuN code detail".
+func flightSince(h *Hypervisor, mark uint64) []string {
+	events := h.Tel.Flight.Tail(nil, int(h.Tel.Flight.Total()-mark))
+	out := make([]string, len(events))
+	for i, e := range events {
+		out[i] = fmt.Sprintf("cpu%d %v %s", e.CPU, e.Code, h.Tel.EventDetail(e))
+	}
+	return out
+}
+
+// flightCount counts the flight events since mark whose rendering starts
+// with prefix ("cpu1 spin", ...).
+func flightCount(h *Hypervisor, mark uint64, prefix string) int {
+	n := 0
+	for _, line := range flightSince(h, mark) {
+		if strings.HasPrefix(line, prefix) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestNewValidatesConfig(t *testing.T) {
@@ -133,8 +158,8 @@ func TestDispatchCompletesAndNotifies(t *testing.T) {
 	if len(done) != 1 {
 		t.Fatalf("done = %v, want 1 completion", done)
 	}
-	if h.Stats.Hypercalls != 1 {
-		t.Fatalf("Stats.Hypercalls = %d", h.Stats.Hypercalls)
+	if n := h.Tel.Counters[telemetry.CtrDispatches]; n != 1 {
+		t.Fatalf("dispatches = %d", n)
 	}
 	f := h.Frames.Frame(int(frame))
 	if f.UseCount != 1 || !f.Validated {
@@ -175,7 +200,7 @@ func TestPanicWithoutHookFailsTerminally(t *testing.T) {
 func TestTimerIRQDrivesStandingTimers(t *testing.T) {
 	h, clk := newBooted(t)
 	clk.RunUntil(100 * time.Millisecond)
-	if h.Stats.TimerIRQs == 0 {
+	if h.Tel.Counters[telemetry.CtrTimerIRQs] == 0 {
 		t.Fatal("no timer IRQs fired")
 	}
 	// Standing timers keep recurring: APICs stay armed.
@@ -246,7 +271,7 @@ func TestInjectionFiresAtInstructionBudget(t *testing.T) {
 	d, _ := h.Domain(1)
 	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpMMUUpdate, Dom: 1,
 		Args: [4]uint64{hypercall.MMUPin, uint64(d.MemStart + 5)}})
-	if !h.Stats.InjectionFired {
+	if h.Tel.Counters[telemetry.CtrInjections] != 1 {
 		t.Fatal("injection did not fire")
 	}
 	if pt.CPU != 1 || !strings.HasPrefix(pt.Activity, "hypercall:mmu_update") {
@@ -325,8 +350,8 @@ func TestSpinOnHeldLockDisablesInterrupts(t *testing.T) {
 	if !h.Machine.CPU(1).IntrDisabled {
 		t.Fatal("spinning CPU has interrupts enabled")
 	}
-	if h.Stats.Spins != 1 {
-		t.Fatalf("Stats.Spins = %d", h.Stats.Spins)
+	if n := h.Tel.Counters[telemetry.CtrSpins]; n != 1 {
+		t.Fatalf("spins = %d", n)
 	}
 }
 
@@ -443,8 +468,8 @@ func TestDropPendingCallsFailsGuest(t *testing.T) {
 	if !d.Failed {
 		t.Fatal("guest not failed after dropped hypercall")
 	}
-	if h.Stats.DroppedCalls != 1 {
-		t.Fatalf("DroppedCalls = %d", h.Stats.DroppedCalls)
+	if n := h.Tel.Counters[telemetry.CtrDrops]; n != 1 {
+		t.Fatalf("drops = %d", n)
 	}
 }
 
@@ -539,7 +564,7 @@ func TestPauseDefersDispatchAndInterrupts(t *testing.T) {
 	// Device interrupt during pause stays pending.
 	h.Machine.Block().Submit(hw.BlockRequest{Owner: 1})
 	clk.RunUntil(clk.Now() + time.Millisecond)
-	if h.Stats.DeviceIRQs != 0 {
+	if h.Tel.Counters[telemetry.CtrDeviceIRQs] != 0 {
 		t.Fatal("device IRQ ran while paused")
 	}
 	var ran bool
@@ -549,7 +574,7 @@ func TestPauseDefersDispatchAndInterrupts(t *testing.T) {
 		t.Fatalf("deferred work not run: done=%d ran=%v", done, ran)
 	}
 	// Pending device interrupt delivered after resume.
-	if h.Stats.DeviceIRQs == 0 {
+	if h.Tel.Counters[telemetry.CtrDeviceIRQs] == 0 {
 		t.Fatal("pending device IRQ not delivered after resume")
 	}
 }
@@ -636,9 +661,10 @@ func TestMulticallDispatchAndRetrySkipsCompleted(t *testing.T) {
 func TestIPIDelivery(t *testing.T) {
 	h, _ := newBooted(t)
 	before := h.IRQCount(2)
+	mark := h.Tel.Flight.Total()
 	h.Machine.CPU(0).SendIPI(2)
-	if h.Stats.Interrupts == 0 {
-		t.Fatal("IPI not counted")
+	if n := flightCount(h, mark, "cpu2 irq ipi"); n != 1 {
+		t.Fatalf("IPI flight events = %d, want 1: %v", n, flightSince(h, mark))
 	}
 	if h.IRQCount(2) != before {
 		t.Fatal("IPI program left irq count unbalanced")

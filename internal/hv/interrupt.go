@@ -32,18 +32,14 @@ func (h *Hypervisor) DeliverInterrupt(cpu int, vec hw.Vector) bool {
 		return false
 	}
 	h.Machine.CPU(cpu).Halted = false
-	h.Stats.Interrupts++
 	switch vec {
 	case hw.VecTimer:
-		h.Stats.TimerIRQs++
 		h.Tel.Counters[telemetry.CtrTimerIRQs]++
 		h.startIRQProgram(cpu, "timer", h.buildTimerIRQ(cpu))
 	case hw.VecBlock:
-		h.Stats.DeviceIRQs++
 		h.Tel.Counters[telemetry.CtrDeviceIRQs]++
 		h.startIRQProgram(cpu, "block", h.buildDeviceIRQ(cpu, hw.IRQBlock))
 	case hw.VecNIC:
-		h.Stats.DeviceIRQs++
 		h.Tel.Counters[telemetry.CtrDeviceIRQs]++
 		h.startIRQProgram(cpu, "nic", h.buildDeviceIRQ(cpu, hw.IRQNIC))
 	case hw.VecIPI:

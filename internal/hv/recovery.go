@@ -18,7 +18,6 @@ import (
 // disabled during recovery").
 func (h *Hypervisor) Pause() {
 	h.paused = true
-	h.Tel.Record(0, telemetry.EvPause, 0)
 	if h.pauseHook != nil {
 		h.pauseHook()
 	}
@@ -117,13 +116,6 @@ func (h *Hypervisor) DiscardThread(cpu int) *PendingCall {
 	h.Machine.CPU(cpu).IntrDisabled = true // held until resume
 	h.Tel.Counters[telemetry.CtrDiscards]++
 	h.Tel.Record(cpu, telemetry.EvDiscard, uint64(cpu))
-	if h.tracer != nil { // lazy: the concat below must not run untraced
-		if pending != nil {
-			h.trace(cpu, TraceDiscard, "pending "+pending.Call.String())
-		} else if pc.WasBusyAtDiscard {
-			h.trace(cpu, TraceDiscard, "interrupt context")
-		}
-	}
 	return pending
 }
 
@@ -259,12 +251,10 @@ func (h *Hypervisor) RetryPendingCalls(pending []*PendingCall) {
 		} else {
 			pc.Env.Undo.Rollback(pc.Env.Frames)
 		}
-		h.Stats.RetriedCalls++
 		call := p.Call
 		cpu := p.CPU
 		h.Tel.Counters[telemetry.CtrRetries]++
 		h.Tel.Record(cpu, telemetry.EvRetry, uint64(call.Op))
-		h.traceCall(cpu, TraceRetry, call)
 		h.WhenRunnable(func() { h.Dispatch(cpu, call) })
 	}
 }
@@ -275,10 +265,8 @@ func (h *Hypervisor) RetryPendingCalls(pending []*PendingCall) {
 func (h *Hypervisor) DropPendingCalls(pending []*PendingCall) {
 	for _, p := range pending {
 		h.percpu[p.CPU].Env.Undo.Clear()
-		h.Stats.DroppedCalls++
 		h.Tel.Counters[telemetry.CtrDrops]++
 		h.Tel.Record(p.CPU, telemetry.EvDrop, uint64(p.Call.Op))
-		h.traceCall(p.CPU, TraceDrop, p.Call)
 		if d, err := h.Domains.ByID(p.Call.Dom); err == nil {
 			d.Fail(fmt.Sprintf("hypercall %v lost (no retry)", p.Call.Op))
 		}

@@ -81,7 +81,6 @@ type Snapshot struct {
 	eventHook    func(domID, port int)
 	nicRxHook    func(hw.Packet)
 	pauseHook    func()
-	tracer       func(TraceEvent)
 
 	recoveryEpoch  uint64
 	schedFluxProb  float64
@@ -89,7 +88,6 @@ type Snapshot struct {
 	callSeq        uint64
 	staticScratch  []uint64
 	recoveryVector uint64
-	stats          Stats
 	tel            *telemetry.Snapshot
 	jrn            *journal.Snapshot
 }
@@ -135,7 +133,6 @@ func (h *Hypervisor) Snapshot() *Snapshot {
 		eventHook:    h.eventHook,
 		nicRxHook:    h.nicRxHook,
 		pauseHook:    h.pauseHook,
-		tracer:       h.tracer,
 
 		recoveryEpoch:  h.recoveryEpoch,
 		schedFluxProb:  h.schedFluxProb,
@@ -143,7 +140,6 @@ func (h *Hypervisor) Snapshot() *Snapshot {
 		callSeq:        h.callSeq,
 		staticScratch:  append([]uint64(nil), h.staticScratch...),
 		recoveryVector: h.recoveryVector,
-		stats:          h.Stats,
 		tel:            h.Tel.Snapshot(),
 		jrn:            h.Jrn.Snapshot(),
 	}
@@ -221,7 +217,6 @@ func (h *Hypervisor) Restore(s *Snapshot) {
 	h.eventHook = s.eventHook
 	h.nicRxHook = s.nicRxHook
 	h.pauseHook = s.pauseHook
-	h.tracer = s.tracer
 
 	h.recoveryEpoch = s.recoveryEpoch
 	h.schedFluxProb = s.schedFluxProb
@@ -230,7 +225,6 @@ func (h *Hypervisor) Restore(s *Snapshot) {
 	h.callSeq = s.callSeq
 	copy(h.staticScratch, s.staticScratch)
 	h.recoveryVector = s.recoveryVector
-	h.Stats = s.stats
 	h.Tel.Restore(s.tel)
 	h.Jrn.Restore(s.jrn)
 

@@ -1,40 +1,22 @@
 package hv
 
 import (
-	"strings"
+	"slices"
 	"testing"
-	"time"
 
 	"nilihype/internal/hypercall"
 )
 
-func TestTraceKindStrings(t *testing.T) {
-	for _, tt := range []struct {
-		k    TraceKind
-		want string
-	}{
-		{TraceDispatch, "dispatch"}, {TraceComplete, "complete"},
-		{TracePanic, "panic"}, {TraceSpin, "spin"}, {TraceWedge, "wedge"},
-		{TraceDiscard, "discard"}, {TraceRetry, "retry"}, {TraceDrop, "drop"},
-		{TraceKind(99), "trace(99)"},
-	} {
-		if got := tt.k.String(); got != tt.want {
-			t.Fatalf("String() = %q, want %q", got, tt.want)
-		}
-	}
-}
-
 func TestTraceRecordsFullRecoveryTimeline(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	rec := NewTraceRecorder(256)
-	h.SetTracer(rec.Record)
 	h.SetPanicHook(func(int, string) {})
 
 	d, _ := h.Domain(1)
 	h.ArmInjection(250, func(InjectionPoint) (InjectAction, string) {
 		return ActionPanic, "failstop"
 	})
+	mark := h.Tel.Flight.Total()
 	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpMMUUpdate, Dom: 1,
 		Args: [4]uint64{hypercall.MMUPin, uint64(d.MemStart + 7)}})
 	pending := h.DiscardAllThreads()
@@ -43,116 +25,36 @@ func TestTraceRecordsFullRecoveryTimeline(t *testing.T) {
 	h.ReenableCPUs()
 	h.RetryPendingCalls(pending)
 
-	wantOrder := []TraceKind{TraceDispatch, TracePanic, TraceDiscard, TraceRetry, TraceDispatch, TraceComplete}
-	events := rec.Events()
-	if len(events) < len(wantOrder) {
-		t.Fatalf("recorded %d events, want >= %d: %v", len(events), len(wantOrder), events)
+	// The flight ring holds the whole story in order: the call, the
+	// injected failstop and its panic, every CPU's discarded thread, then
+	// the retry re-dispatching and completing the call.
+	want := []string{
+		"cpu1 dispatch mmu_update", "cpu1 inject failstop", "cpu1 panic failstop",
+		"cpu0 discard cpu0", "cpu1 discard cpu1", "cpu2 discard cpu2", "cpu3 discard cpu3",
+		"cpu1 retry mmu_update", "cpu1 dispatch mmu_update", "cpu1 complete mmu_update",
 	}
-	for i, k := range wantOrder {
-		if events[i].Kind != k {
-			t.Fatalf("event %d = %v, want %v (timeline: %v)", i, events[i].Kind, k, events)
-		}
-	}
-	if got := rec.Filter(TracePanic); len(got) != 1 || !strings.Contains(got[0].Detail, "failstop") {
-		t.Fatalf("Filter(panic) = %v", got)
-	}
-	if !strings.Contains(events[0].String(), "cpu1") {
-		t.Fatalf("String() = %q", events[0].String())
-	}
-}
-
-func TestTraceRecorderBounded(t *testing.T) {
-	rec := NewTraceRecorder(2)
-	for i := 0; i < 5; i++ {
-		rec.Record(TraceEvent{At: time.Duration(i), Kind: TraceDispatch})
-	}
-	events := rec.Events()
-	if len(events) != 2 || rec.Dropped != 3 {
-		t.Fatalf("events=%d dropped=%d", len(events), rec.Dropped)
-	}
-	// The recorder is a ring: the most recent events are retained (the
-	// oldest are evicted), in chronological order.
-	if events[0].At != 3 || events[1].At != 4 {
-		t.Fatalf("ring should keep newest events in order, got %v", events)
-	}
-	// Filter sees the same retained window.
-	if got := rec.Filter(TraceDispatch); len(got) != 2 || got[0].At != 3 {
-		t.Fatalf("Filter over ring = %v", got)
-	}
-}
-
-func TestTraceRecorderZeroCapacity(t *testing.T) {
-	rec := NewTraceRecorder(0)
-	rec.Record(TraceEvent{Kind: TracePanic})
-	if len(rec.Events()) != 0 || rec.Dropped != 1 {
-		t.Fatalf("zero-cap recorder retained events: %v dropped=%d", rec.Events(), rec.Dropped)
+	if got := flightSince(h, mark); !slices.Equal(got, want) {
+		t.Fatalf("flight timeline:\n got %q\nwant %q", got, want)
 	}
 }
 
 func TestTraceDropAndSpinEvents(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	rec := NewTraceRecorder(64)
-	h.SetTracer(rec.Record)
 	h.SetPanicHook(func(int, string) {})
 
 	// Spin event.
 	h.Statics.Console.TryAcquire(3)
+	mark := h.Tel.Flight.Total()
 	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpConsoleIO, Dom: 1})
-	if got := rec.Filter(TraceSpin); len(got) != 1 || got[0].Detail != "console_lock" {
-		t.Fatalf("Filter(spin) = %v", got)
+	if n := flightCount(h, mark, "cpu1 spin console_lock"); n != 1 {
+		t.Fatalf("spin flight events = %d, want 1: %v", n, flightSince(h, mark))
 	}
 	// Drop event.
 	pending := h.DiscardAllThreads()
+	mark = h.Tel.Flight.Total()
 	h.DropPendingCalls(pending)
-	if got := rec.Filter(TraceDrop); len(got) != 1 {
-		t.Fatalf("Filter(drop) = %v", got)
-	}
-}
-
-func TestTracingDisabledByDefault(t *testing.T) {
-	h, clk := newBooted(t)
-	addAppVM(t, h, 1, 1)
-	clk.RunUntil(50 * time.Millisecond) // must not panic with nil tracer
-}
-
-// TestUntracedEmitSitesAreAllocationFree pins down the zero-tracer fast
-// path: with no tracer installed, the trace emit helpers must not format,
-// box, or allocate anything. Campaigns run with tracing off, and these
-// helpers sit on every hypercall dispatch and completion.
-func TestUntracedEmitSitesAreAllocationFree(t *testing.T) {
-	h, _ := newBooted(t)
-	call := &hypercall.Call{Op: hypercall.OpMMUUpdate, Dom: 1,
-		Args: [4]uint64{hypercall.MMUPin, 42}}
-
-	if h.Tracing() {
-		t.Fatal("tracer installed on a fresh hypervisor")
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		h.traceCall(1, TraceDispatch, call)
-		h.traceCall(1, TraceComplete, call)
-		h.trace(1, TraceSpin, "lock")
-	}); allocs != 0 {
-		t.Fatalf("untraced emit sites allocated %.0f objects per run, want 0", allocs)
-	}
-}
-
-// TestTraceCallFormatsLazily checks the traced path still produces the
-// same detail string an eager call.String() would have.
-func TestTraceCallFormatsLazily(t *testing.T) {
-	h, _ := newBooted(t)
-	rec := NewTraceRecorder(8)
-	h.SetTracer(rec.Record)
-	if !h.Tracing() {
-		t.Fatal("Tracing() false after SetTracer")
-	}
-	call := &hypercall.Call{Op: hypercall.OpEventChannelOp, Dom: 3}
-	h.traceCall(2, TraceRetry, call)
-	evs := rec.Events()
-	if len(evs) != 1 {
-		t.Fatalf("recorded %d events, want 1", len(evs))
-	}
-	if evs[0].Detail != call.String() || evs[0].Kind != TraceRetry || evs[0].CPU != 2 {
-		t.Fatalf("event = %+v, want detail %q", evs[0], call.String())
+	if got := flightSince(h, mark); len(got) != 1 || got[0] != "cpu1 drop console_io" {
+		t.Fatalf("flight after drop = %v, want one cpu1 drop console_io", got)
 	}
 }

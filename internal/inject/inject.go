@@ -30,6 +30,7 @@ package inject
 import (
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"time"
 
 	"nilihype/internal/dom"
@@ -77,6 +78,28 @@ func (f FaultType) String() string {
 		return "IO-APIC"
 	default:
 		return fmt.Sprintf("fault(%d)", int(f))
+	}
+}
+
+// ParseFaultType resolves a command-line fault name (case-insensitive):
+// failstop, register, code, privvm-crash, privvm-hang, or ioapic (alias
+// device).
+func ParseFaultType(s string) (FaultType, error) {
+	switch strings.ToLower(s) {
+	case "failstop":
+		return Failstop, nil
+	case "register":
+		return Register, nil
+	case "code":
+		return Code, nil
+	case "privvm-crash":
+		return PrivVMCrash, nil
+	case "privvm-hang":
+		return PrivVMHang, nil
+	case "ioapic", "device":
+		return DeviceIOAPIC, nil
+	default:
+		return 0, fmt.Errorf("unknown fault type %q", s)
 	}
 }
 

@@ -55,6 +55,29 @@ func TestFaultTypeAndEffectStrings(t *testing.T) {
 	}
 }
 
+func TestParseFaultType(t *testing.T) {
+	for _, tt := range []struct {
+		in      string
+		want    FaultType
+		wantErr bool
+	}{
+		{"failstop", Failstop, false},
+		{"Register", Register, false},
+		{"code", Code, false},
+		{"privvm-crash", PrivVMCrash, false},
+		{"PrivVM-Hang", PrivVMHang, false},
+		{"ioapic", DeviceIOAPIC, false},
+		{"device", DeviceIOAPIC, false},
+		{"alpha", 0, true},
+		{"", 0, true},
+	} {
+		got, err := ParseFaultType(tt.in)
+		if (err != nil) != tt.wantErr || got != tt.want {
+			t.Errorf("ParseFaultType(%q) = %v, %v", tt.in, got, err)
+		}
+	}
+}
+
 func TestFailstopAlwaysDetectedImmediately(t *testing.T) {
 	h, clk := newTarget(t, 1)
 	var panics []string

@@ -8,29 +8,26 @@ import (
 // EventCode classifies flight-recorder events.
 type EventCode uint16
 
-// Flight-recorder event codes. Arg semantics per code are documented
-// inline; "interned" means the arg is an Intern ID resolved via Str.
+// Flight-recorder event codes. The ring records hypervisor-level activity;
+// the recovery story (detect, attempt, pause, audit, attempt-fail,
+// escalate) belongs to the causal journal (internal/journal). Arg
+// semantics per code are documented inline; "interned" means the arg is
+// an Intern ID resolved via Str.
 const (
-	EvDispatch     EventCode = iota + 1 // arg: hypercall op code
-	EvComplete                          // arg: hypercall op code
-	EvIRQEnter                          // arg: interned activity ("timer", "nic", ...)
-	EvPanic                             // arg: interned reason
-	EvSpin                              // arg: interned lock name
-	EvWedge                             // arg: unused
-	EvInject                            // arg: interned fault description
-	EvDetect                            // arg: interned detection reason
-	EvPause                             // arg: unused (recovery paused the hypervisor)
-	EvDiscard                           // arg: CPU whose thread was discarded
-	EvAttemptBegin                      // arg: interned mechanism name
-	EvPhase                             // arg: interned phase name <<40 | duration µs
-	EvAttemptFail                       // arg: interned failure reason
-	EvEscalate                          // arg: interned next mechanism name
-	EvResume                            // arg: unused (guests resumed)
-	EvRetry                             // arg: hypercall op code of the retried call
-	EvDrop                              // arg: hypercall op code of the dropped call
-	EvRecovered                         // arg: attempt number
-	EvAudit                             // arg: violations <<16 | repairs <<8 | verdict
-	EvNMI                               // arg: unused (watchdog NMI delivered)
+	EvDispatch  EventCode = iota + 1 // arg: hypercall op code
+	EvComplete                       // arg: hypercall op code
+	EvIRQEnter                       // arg: interned activity ("timer", "nic", ...)
+	EvPanic                          // arg: interned reason
+	EvSpin                           // arg: interned lock name
+	EvWedge                          // arg: unused
+	EvInject                         // arg: interned fault description
+	EvDiscard                        // arg: CPU whose thread was discarded
+	EvPhase                          // arg: interned phase name <<40 | duration µs
+	EvResume                         // arg: unused (guests resumed)
+	EvRetry                          // arg: hypercall op code of the retried call
+	EvDrop                           // arg: hypercall op code of the dropped call
+	EvRecovered                      // arg: attempt number
+	EvNMI                            // arg: unused (watchdog NMI delivered)
 )
 
 // String returns the code's short name.
@@ -38,11 +35,9 @@ func (c EventCode) String() string {
 	names := [...]string{
 		EvDispatch: "dispatch", EvComplete: "complete", EvIRQEnter: "irq",
 		EvPanic: "panic", EvSpin: "spin", EvWedge: "wedge",
-		EvInject: "inject", EvDetect: "detect", EvPause: "pause",
-		EvDiscard: "discard", EvAttemptBegin: "attempt", EvPhase: "phase",
-		EvAttemptFail: "attempt-fail", EvEscalate: "escalate",
+		EvInject: "inject", EvDiscard: "discard", EvPhase: "phase",
 		EvResume: "resume", EvRetry: "retry", EvDrop: "drop",
-		EvRecovered: "recovered", EvAudit: "audit", EvNMI: "nmi",
+		EvRecovered: "recovered", EvNMI: "nmi",
 	}
 	if int(c) < len(names) && names[c] != "" {
 		return names[c]
@@ -64,20 +59,6 @@ func PhaseArg(nameID uint64, d time.Duration) uint64 {
 // UnpackPhaseArg splits a PhaseArg back into name ID and duration.
 func UnpackPhaseArg(arg uint64) (nameID uint64, d time.Duration) {
 	return arg >> 40, time.Duration(arg&(1<<40-1)) * time.Microsecond
-}
-
-// AuditArg packs an audit-report flight argument.
-func AuditArg(violations, repairs, verdict int) uint64 {
-	clamp := func(v, max int) uint64 {
-		if v < 0 {
-			return 0
-		}
-		if v > max {
-			return uint64(max)
-		}
-		return uint64(v)
-	}
-	return clamp(violations, 0xffff)<<16 | clamp(repairs, 0xff)<<8 | clamp(verdict, 0xff)
 }
 
 // Event is one flight-recorder entry: 24 bytes, no pointers, so the ring
@@ -143,8 +124,7 @@ func (t *Telemetry) EventDetail(e Event) string {
 	switch e.Code {
 	case EvDispatch, EvComplete, EvRetry, EvDrop:
 		return t.opName(e.Arg)
-	case EvIRQEnter, EvPanic, EvSpin, EvInject, EvDetect, EvAttemptBegin,
-		EvAttemptFail, EvEscalate:
+	case EvIRQEnter, EvPanic, EvSpin, EvInject:
 		return t.Str(e.Arg)
 	case EvPhase:
 		nameID, d := UnpackPhaseArg(e.Arg)
@@ -153,9 +133,6 @@ func (t *Telemetry) EventDetail(e Event) string {
 		return "cpu" + itoa(int(e.Arg))
 	case EvRecovered:
 		return "attempt " + itoa(int(e.Arg))
-	case EvAudit:
-		return fmt.Sprintf("violations=%d repairs=%d verdict=%d",
-			e.Arg>>16&0xffff, e.Arg>>8&0xff, e.Arg&0xff)
 	default:
 		if e.Arg != 0 {
 			return "arg=" + itoa(int(e.Arg))

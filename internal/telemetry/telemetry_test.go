@@ -371,8 +371,7 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 	*now = 5 * time.Millisecond
 	tel.Record(1, EvInject, tel.Intern("reg-flip rax"))
 	*now = 6 * time.Millisecond
-	tel.Record(1, EvDetect, tel.Intern("panic: bad pointer"))
-	tel.RecordAt(6*time.Millisecond, 1, EvAttemptBegin, tel.Intern("microreset"))
+	tel.Record(1, EvPanic, tel.Intern("bad pointer"))
 	tel.RecordAt(6*time.Millisecond, 1, EvPhase, PhaseArg(tel.Intern("pf-scan"), 2*time.Millisecond))
 	tel.RecordAt(8*time.Millisecond, 1, EvPhase, PhaseArg(tel.Intern("unlock"), time.Millisecond))
 	*now = 9 * time.Millisecond
@@ -388,14 +387,15 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	var sawInject, sawDetect, sawPhaseSpan bool
+	var sawInject, sawPanic, sawPhaseSpan bool
 	for _, e := range doc.TraceEvents {
 		name, _ := e["name"].(string)
 		switch {
 		case strings.HasPrefix(name, "inject:"):
 			sawInject = true
-		case strings.HasPrefix(name, "detect:"):
-			sawDetect = true
+		case name == "panic":
+			args, _ := e["args"].(map[string]any)
+			sawPanic = args["detail"] == "bad pointer" && e["tid"] == float64(1)
 		case e["ph"] == "X" && name == "pf-scan":
 			sawPhaseSpan = true
 			if e["dur"].(float64) != 2000 {
@@ -403,8 +403,8 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 			}
 		}
 	}
-	if !sawInject || !sawDetect || !sawPhaseSpan {
-		t.Fatalf("trace missing markers: inject=%v detect=%v span=%v", sawInject, sawDetect, sawPhaseSpan)
+	if !sawInject || !sawPanic || !sawPhaseSpan {
+		t.Fatalf("trace missing markers: inject=%v panic=%v span=%v", sawInject, sawPanic, sawPhaseSpan)
 	}
 }
 
@@ -456,5 +456,17 @@ func TestCounterAndGaugeNames(t *testing.T) {
 	}
 	if CtrOp(3) == CtrOp(4) {
 		t.Fatal("op counters must be distinct slots")
+	}
+	// Every flight code has a distinct name; unknown codes fall back.
+	names := map[string]bool{}
+	for c := EvDispatch; c <= EvNMI; c++ {
+		n := c.String()
+		if strings.HasPrefix(n, "ev.") || names[n] {
+			t.Errorf("event code %d has missing or duplicate name %q", c, n)
+		}
+		names[n] = true
+	}
+	if got := EventCode(99).String(); got != "ev.99" {
+		t.Errorf("EventCode(99).String() = %q", got)
 	}
 }

@@ -52,8 +52,9 @@ type ExtraLane struct {
 // WriteChromeTrace renders the flight recorder's retained events as a
 // Chrome trace_event JSON document: per-CPU instant lanes for hypervisor
 // activity, span ("X") events for recovery phases, and instant markers for
-// injection, detection, and recovery milestones. Load the output in
-// chrome://tracing or https://ui.perfetto.dev.
+// injection, resume and recovery completion. Detection and the attempt
+// story come from the journal lane merged in by WriteChromeTraceLanes.
+// Load the output in chrome://tracing or https://ui.perfetto.dev.
 func (t *Telemetry) WriteChromeTrace(w io.Writer, numCPUs int) error {
 	return t.WriteChromeTraceLanes(w, numCPUs)
 }
@@ -91,8 +92,7 @@ func (t *Telemetry) WriteChromeTraceLanes(w io.Writer, numCPUs int, lanes ...Ext
 				PID: 1, TID: recoveryLaneOffset,
 				Args: map[string]any{"cpu": int(e.CPU)},
 			})
-		case EvAttemptBegin, EvAttemptFail, EvEscalate, EvRecovered,
-			EvPause, EvResume, EvAudit, EvDetect:
+		case EvRecovered, EvResume:
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 				Name: t.markerName(e), Phase: "i", TS: ts,
 				PID: 1, TID: recoveryLaneOffset, Scope: "p",
@@ -147,12 +147,6 @@ func (t *Telemetry) markerName(e Event) string {
 		return e.Code.String() + ":" + t.opName(e.Arg)
 	case EvInject:
 		return "inject:" + t.Str(e.Arg)
-	case EvDetect:
-		return "detect:" + t.Str(e.Arg)
-	case EvAttemptBegin:
-		return "attempt:" + t.Str(e.Arg)
-	case EvEscalate:
-		return "escalate:" + t.Str(e.Arg)
 	case EvIRQEnter:
 		return "irq:" + t.Str(e.Arg)
 	default:
